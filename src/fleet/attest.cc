@@ -146,26 +146,16 @@ void FleetAttestor::PumpNode(int node) {
     // replays, anything else is mismatch or line noise. The scanner tells
     // us exactly how far the cursor may advance, so corrupted/reflected
     // garbage costs O(new bytes) and is reclaimed from the fleet below.
-    const std::string& rx = fleet_->VerifierRx(node);
+    const std::string& rx = fleet_->Rx(node, RxStream::kAttest);
     uint32_t status = 0;
     Sha256Digest report{};
-    while (state.state == AttestNodeState::kAwaitingResponse) {
-      size_t frame_start = 0;
-      size_t next_offset = 0;
-      const AttestScan scan = ScanAttestationResponse(
-          rx, state.rx_offset, &frame_start, &next_offset, &status, &report);
-      if (scan == AttestScan::kNoFrame) {
-        state.noise_bytes += rx.size() - state.rx_offset;
-        state.rx_offset = rx.size();
-        break;
-      }
-      if (scan == AttestScan::kNeedMore) {
-        state.noise_bytes += frame_start - state.rx_offset;
-        state.rx_offset = frame_start;
-        break;
-      }
-      state.noise_bytes += frame_start - state.rx_offset;
-      state.rx_offset = next_offset;
+    const auto scan = [&](const std::string& stream, size_t at,
+                          size_t* frame_start, size_t* next_offset) {
+      return ScanAttestationResponse(stream, at, frame_start, next_offset,
+                                     &status, &report);
+    };
+    while (state.state == AttestNodeState::kAwaitingResponse &&
+           state.rx.Next(rx, scan)) {
       if (status != kAttestStatusOk) {
         // Error frames ride the same flood-control budget as rejected
         // reports: an adversary can mint 2-byte error frames even more
@@ -199,7 +189,7 @@ void FleetAttestor::PumpNode(int node) {
         std::string event = fresh ? "verified" : "verified (STALE REPORT "
                                                  "honored: vulnerable mode)";
         event += RejectSummary(state.mismatches, state.stale_hits,
-                               state.noise_bytes, state.retired_dropped);
+                               state.rx.noise_bytes, state.retired_dropped);
         Log(node, event);
         continue;
       }
@@ -221,7 +211,7 @@ void FleetAttestor::PumpNode(int node) {
     }
     // Everything before the cursor is consumed or noise: hand it back to
     // the fleet so a garbage flood cannot grow the RX stream unboundedly.
-    state.rx_offset -= fleet_->ConsumeVerifierRx(node, state.rx_offset);
+    state.rx.Reclaim(fleet_, node, RxStream::kAttest);
     if (state.state == AttestNodeState::kAwaitingResponse &&
         now >= state.deadline) {
       if (state.attempts >= policy_.max_attempts) {
@@ -237,7 +227,7 @@ void FleetAttestor::PumpNode(int node) {
         Log(node, std::string("quarantined reason=") +
                       QuarantineReasonName(state.quarantine_reason) +
                       RejectSummary(state.mismatches, state.stale_hits,
-                                    state.noise_bytes,
+                                    state.rx.noise_bytes,
                                     state.retired_dropped));
       } else {
         state.state = AttestNodeState::kBackoff;

@@ -31,7 +31,7 @@
 // surfaced in the node's resolution line — no silent truncation.
 //
 // Determinism. The attestor acts only at quantum boundaries and only on
-// fleet-owned state (VerifierRx streams, SendToNode), in node-id order, so
+// fleet-owned state (kAttest RX streams, SendToNode), in node-id order, so
 // its transcript is bit-identical across host thread counts.
 
 #ifndef TRUSTLITE_SRC_FLEET_ATTEST_H_
@@ -146,7 +146,7 @@ class FleetAttestor {
     return nodes_[static_cast<size_t>(node)].stale_hits;
   }
   uint64_t noise_bytes(int node) const {
-    return nodes_[static_cast<size_t>(node)].noise_bytes;
+    return nodes_[static_cast<size_t>(node)].rx.noise_bytes;
   }
   int rounds() const { return rounds_; }
   std::vector<int> Verified() const;
@@ -185,7 +185,8 @@ class FleetAttestor {
     int attempts = 0;            // Timeouts this round.
     int issued = 0;              // Challenges ever issued (never resets:
                                  // keeps nonces fresh across rounds).
-    size_t rx_offset = 0;        // Scan cursor into fleet->VerifierRx(node).
+    RxCursor rx;                 // Into fleet->Rx(node, kAttest); its
+                                 // noise_bytes count unframeable bytes.
     uint64_t deadline = 0;       // Timeout cycle while awaiting.
     uint64_t resume = 0;         // Re-challenge cycle while backing off.
     // Expected reports, oldest first; back() is the only live challenge.
@@ -197,7 +198,6 @@ class FleetAttestor {
     // silently.
     uint64_t mismatches = 0;       // Well-formed reports matching nothing.
     uint64_t stale_hits = 0;       // Reports matching a retired challenge.
-    uint64_t noise_bytes = 0;      // Unframeable bytes skipped and reclaimed.
     uint64_t retired_dropped = 0;  // Retired digests evicted by the cap.
     int reject_logs = 0;           // Lines logged against max_reject_logs.
     // Health/status surface (accessors above).

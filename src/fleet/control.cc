@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "src/common/bytes.h"
-#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/snapshot/snapshot.h"
 
@@ -17,10 +16,6 @@ namespace {
 // key/tamper/challenge/campaign streams).
 constexpr uint64_t kConfigSalt = 0x636F6E6669672020ull;  // "config  "
 
-constexpr size_t kConfigHeaderSize = 1 + 4 + 4 + 2;  // marker, pid, gen, len
-constexpr size_t kConfigAckSize = 1 + 4 + 4 + 32 + 4;
-constexpr size_t kHealthFrameSize = 1 + 8 + 8 + 8 + 8 + 4 + 1 + 4;
-
 void AppendU64(std::string* out, uint64_t value) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%llu",
@@ -28,8 +23,43 @@ void AppendU64(std::string* out, uint64_t value) {
   *out += buf;
 }
 
-uint32_t FrameCrc(const std::vector<uint8_t>& frame) {
-  return Crc32(frame.data(), frame.size());
+// The node config region image holding (generation, blob); see control.h.
+std::vector<uint8_t> ConfigRegion(uint32_t generation, std::string_view blob) {
+  std::vector<uint8_t> region(kNodeConfigRegionSize, 0);
+  StoreLe32(region.data(), generation);
+  StoreLe32(region.data() + 4, static_cast<uint32_t>(blob.size()));
+  std::copy(blob.begin(), blob.end(), region.begin() + 8);
+  return region;
+}
+
+std::string EncodeConfigPush(uint32_t push_id, uint32_t generation,
+                             const std::string& blob) {
+  std::vector<uint8_t> head;
+  AppendLe32(head, push_id);
+  AppendLe32(head, generation);
+  return EncodeFrame(kConfigFrameMarker, head, blob);
+}
+
+std::vector<uint8_t> HealthBody(const HealthBeacon& beacon) {
+  std::vector<uint8_t> body;
+  AppendLe64(body, beacon.cycle);
+  AppendLe64(body, beacon.instructions);
+  AppendLe64(body, beacon.tx_bytes);
+  AppendLe64(body, beacon.rx_bytes);
+  AppendLe32(body, beacon.config_generation);
+  body.push_back(beacon.halted ? 1 : 0);
+  return body;
+}
+
+HealthBeacon ParseHealthBody(const uint8_t* p) {
+  HealthBeacon beacon;
+  beacon.cycle = LoadLe64(p);
+  beacon.instructions = LoadLe64(p + 8);
+  beacon.tx_bytes = LoadLe64(p + 16);
+  beacon.rx_bytes = LoadLe64(p + 24);
+  beacon.config_generation = LoadLe32(p + 32);
+  beacon.halted = p[36] != 0;
+  return beacon;
 }
 
 }  // namespace
@@ -59,138 +89,7 @@ std::string EncodeConfigBlob(
 }
 
 Sha256Digest ConfigRegionDigest(uint32_t generation, const std::string& blob) {
-  std::vector<uint8_t> region(kNodeConfigRegionSize, 0);
-  StoreLe32(region.data(), generation);
-  StoreLe32(region.data() + 4, static_cast<uint32_t>(blob.size()));
-  std::copy(blob.begin(), blob.end(), region.begin() + 8);
-  return Sha256Hash(region);
-}
-
-std::string EncodeConfigFrame(uint32_t push_id, uint32_t generation,
-                              const std::string& blob) {
-  std::vector<uint8_t> frame;
-  frame.reserve(kConfigHeaderSize + blob.size() + 4);
-  frame.push_back(kConfigFrameMarker);
-  AppendLe32(frame, push_id);
-  AppendLe32(frame, generation);
-  frame.push_back(static_cast<uint8_t>(blob.size()));
-  frame.push_back(static_cast<uint8_t>(blob.size() >> 8));
-  frame.insert(frame.end(), blob.begin(), blob.end());
-  AppendLe32(frame, FrameCrc(frame));
-  return std::string(frame.begin(), frame.end());
-}
-
-std::string EncodeConfigAck(uint32_t push_id, uint32_t generation,
-                            const Sha256Digest& digest) {
-  std::vector<uint8_t> frame;
-  frame.reserve(kConfigAckSize);
-  frame.push_back(kConfigAckMarker);
-  AppendLe32(frame, push_id);
-  AppendLe32(frame, generation);
-  frame.insert(frame.end(), digest.begin(), digest.end());
-  AppendLe32(frame, FrameCrc(frame));
-  return std::string(frame.begin(), frame.end());
-}
-
-std::string EncodeHealthFrame(const HealthBeacon& beacon) {
-  std::vector<uint8_t> frame;
-  frame.reserve(kHealthFrameSize);
-  frame.push_back(kHealthFrameMarker);
-  AppendLe64(frame, beacon.cycle);
-  AppendLe64(frame, beacon.instructions);
-  AppendLe64(frame, beacon.tx_bytes);
-  AppendLe64(frame, beacon.rx_bytes);
-  AppendLe32(frame, beacon.config_generation);
-  frame.push_back(beacon.halted ? 1 : 0);
-  AppendLe32(frame, FrameCrc(frame));
-  return std::string(frame.begin(), frame.end());
-}
-
-ControlScan ScanConfigFrame(const std::string& rx, size_t offset,
-                            size_t* frame_start, size_t* next_offset,
-                            uint32_t* push_id, uint32_t* generation,
-                            std::string* blob) {
-  const size_t n = rx.size();
-  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(rx.data());
-  size_t pos = offset;
-  while (true) {
-    while (pos < n && bytes[pos] != kConfigFrameMarker) {
-      ++pos;
-    }
-    if (pos >= n) {
-      return ControlScan::kNoFrame;
-    }
-    *frame_start = pos;
-    if (n - pos < kConfigHeaderSize) {
-      return ControlScan::kNeedMore;
-    }
-    const uint8_t* p = bytes + pos;
-    const uint16_t len = LoadLe16(p + 9);
-    if (len > kMaxConfigBlobBytes) {
-      // A corrupted length would otherwise stall the scanner waiting for a
-      // frame that can never complete; skip the marker byte as noise.
-      ++pos;
-      continue;
-    }
-    const size_t total = kConfigHeaderSize + len + 4;
-    if (n - pos < total) {
-      return ControlScan::kNeedMore;
-    }
-    if (LoadLe32(p + kConfigHeaderSize + len) !=
-        Crc32(p, kConfigHeaderSize + len)) {
-      ++pos;
-      continue;
-    }
-    *next_offset = pos + total;
-    *push_id = LoadLe32(p + 1);
-    *generation = LoadLe32(p + 5);
-    blob->assign(reinterpret_cast<const char*>(p + kConfigHeaderSize), len);
-    return ControlScan::kFrame;
-  }
-}
-
-ControlScan ScanControlFrame(const std::string& rx, size_t offset,
-                             size_t* frame_start, size_t* next_offset,
-                             ControlFrame* frame) {
-  const size_t n = rx.size();
-  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(rx.data());
-  size_t pos = offset;
-  while (true) {
-    while (pos < n && bytes[pos] != kConfigAckMarker &&
-           bytes[pos] != kHealthFrameMarker) {
-      ++pos;
-    }
-    if (pos >= n) {
-      return ControlScan::kNoFrame;
-    }
-    *frame_start = pos;
-    const bool is_ack = bytes[pos] == kConfigAckMarker;
-    const size_t total = is_ack ? kConfigAckSize : kHealthFrameSize;
-    if (n - pos < total) {
-      return ControlScan::kNeedMore;
-    }
-    const uint8_t* p = bytes + pos;
-    if (LoadLe32(p + total - 4) != Crc32(p, total - 4)) {
-      ++pos;
-      continue;
-    }
-    *next_offset = pos + total;
-    if (is_ack) {
-      frame->kind = ControlFrame::Kind::kConfigAck;
-      frame->push_id = LoadLe32(p + 1);
-      frame->generation = LoadLe32(p + 5);
-      std::copy(p + 9, p + 9 + 32, frame->digest.begin());
-    } else {
-      frame->kind = ControlFrame::Kind::kHealth;
-      frame->beacon.cycle = LoadLe64(p + 1);
-      frame->beacon.instructions = LoadLe64(p + 9);
-      frame->beacon.tx_bytes = LoadLe64(p + 17);
-      frame->beacon.rx_bytes = LoadLe64(p + 25);
-      frame->beacon.config_generation = LoadLe32(p + 33);
-      frame->beacon.halted = p[37] != 0;
-    }
-    return ControlScan::kFrame;
-  }
+  return Sha256Hash(ConfigRegion(generation, blob));
 }
 
 // --- FleetController -----------------------------------------------------
@@ -204,7 +103,7 @@ FleetController::FleetController(Fleet* fleet,
   const size_t n = static_cast<size_t>(fleet_->num_nodes());
   health_.resize(n);
   agents_.resize(n);
-  control_rx_offset_.resize(n, 0);
+  control_rx_.resize(n);
   push_.resize(n);
 }
 
@@ -253,45 +152,28 @@ void FleetController::PumpNodeAgents() {
     // newer generation is applied (region write + ack); any other valid
     // frame re-acks the currently applied state, which makes verifier
     // retransmits idempotent.
-    const std::string& rx = fleet_->ConfigRx(i);
-    while (true) {
-      size_t frame_start = 0;
-      size_t next_offset = 0;
-      uint32_t push_id = 0;
-      uint32_t generation = 0;
-      std::string blob;
-      const ControlScan scan =
-          ScanConfigFrame(rx, agent.config_rx_offset, &frame_start,
-                          &next_offset, &push_id, &generation, &blob);
-      if (scan == ControlScan::kNoFrame) {
-        agent.config_noise_bytes += rx.size() - agent.config_rx_offset;
-        agent.config_rx_offset = rx.size();
-        break;
-      }
-      if (scan == ControlScan::kNeedMore) {
-        agent.config_noise_bytes += frame_start - agent.config_rx_offset;
-        agent.config_rx_offset = frame_start;
-        break;
-      }
-      agent.config_noise_bytes += frame_start - agent.config_rx_offset;
-      agent.config_rx_offset = next_offset;
+    const std::string& rx = fleet_->Rx(i, RxStream::kConfig);
+    Frame frame;
+    while (agent.config_rx.Next(rx, RxStream::kConfig, &frame)) {
+      const uint32_t push_id = LoadLe32(frame.head);
+      const uint32_t generation = LoadLe32(frame.head + 4);
       if (generation > agent.applied_generation || !agent.has_applied) {
-        std::vector<uint8_t> region(kNodeConfigRegionSize, 0);
-        StoreLe32(region.data(), generation);
-        StoreLe32(region.data() + 4, static_cast<uint32_t>(blob.size()));
-        std::copy(blob.begin(), blob.end(), region.begin() + 8);
+        const std::vector<uint8_t> region =
+            ConfigRegion(generation, frame.data);
         node.platform().bus().HostWriteBytes(kNodeConfigRegionAddr, region);
         agent.applied_generation = generation;
         agent.applied_push_id = push_id;
         agent.applied_digest = Sha256Hash(region);
         agent.has_applied = true;
       }
-      fleet_->SendToVerifier(
-          i, EncodeConfigAck(agent.applied_push_id, agent.applied_generation,
-                             agent.applied_digest));
+      std::vector<uint8_t> ack;
+      AppendLe32(ack, agent.applied_push_id);
+      AppendLe32(ack, agent.applied_generation);
+      ack.insert(ack.end(), agent.applied_digest.begin(),
+                 agent.applied_digest.end());
+      fleet_->SendToVerifier(i, EncodeFrame(kConfigAckMarker, ack));
     }
-    agent.config_rx_offset -=
-        fleet_->ConsumeConfigRx(i, agent.config_rx_offset);
+    agent.config_rx.Reclaim(fleet_, i, RxStream::kConfig);
 
     // Health agent: one beacon every beacon_every_quanta quanta.
     if (policy_.beacon_every_quanta > 0 && --agent.beacon_countdown == 0) {
@@ -303,7 +185,8 @@ void FleetController::PumpNodeAgents() {
       beacon.rx_bytes = node.rx_bytes();
       beacon.config_generation = agent.applied_generation;
       beacon.halted = node.platform().cpu().halted();
-      fleet_->SendToVerifier(i, EncodeHealthFrame(beacon));
+      fleet_->SendToVerifier(
+          i, EncodeFrame(kHealthFrameMarker, HealthBody(beacon)));
     }
   }
 }
@@ -311,26 +194,13 @@ void FleetController::PumpNodeAgents() {
 void FleetController::ProcessControlRx() {
   const bool push_active = active_push_id_ != 0;
   for (int i = 0; i < fleet_->num_nodes(); ++i) {
-    size_t& cursor = control_rx_offset_[static_cast<size_t>(i)];
-    const std::string& rx = fleet_->ControlRx(i);
-    while (true) {
-      size_t frame_start = 0;
-      size_t next_offset = 0;
-      ControlFrame frame;
-      const ControlScan scan =
-          ScanControlFrame(rx, cursor, &frame_start, &next_offset, &frame);
-      if (scan == ControlScan::kNoFrame) {
-        cursor = rx.size();
-        break;
-      }
-      if (scan == ControlScan::kNeedMore) {
-        cursor = frame_start;
-        break;
-      }
-      cursor = next_offset;
+    RxCursor& cursor = control_rx_[static_cast<size_t>(i)];
+    const std::string& rx = fleet_->Rx(i, RxStream::kControl);
+    Frame frame;
+    while (cursor.Next(rx, RxStream::kControl, &frame)) {
       NodeHealth& health = health_[static_cast<size_t>(i)];
-      if (frame.kind == ControlFrame::Kind::kHealth) {
-        health.beacon = frame.beacon;
+      if (frame.kind->marker == kHealthFrameMarker) {
+        health.beacon = ParseHealthBody(frame.head);
         health.beacon_seen_cycle = fleet_->now();
         continue;
       }
@@ -340,26 +210,28 @@ void FleetController::ProcessControlRx() {
       // the agent, or a hostile replay of an old ack) — keep waiting, the
       // retransmit path re-sends until the retry budget runs out.
       PushState& push = push_[static_cast<size_t>(i)];
+      const uint32_t generation = LoadLe32(frame.head + 4);
       if (push_active && push.target && !push.acked &&
-          frame.push_id == active_push_id_ &&
-          frame.generation == config_generation_) {
-        if (frame.digest == active_digest_) {
+          LoadLe32(frame.head) == active_push_id_ &&
+          generation == config_generation_) {
+        if (std::equal(active_digest_.begin(), active_digest_.end(),
+                       frame.head + 8)) {
           push.acked = true;
-          health.config_generation = frame.generation;
+          health.config_generation = generation;
           char event[64];
           std::snprintf(event, sizeof(event), "config-ack node=%d gen=%u", i,
-                        frame.generation);
+                        generation);
           Log(event);
         } else {
           char event[80];
           std::snprintf(event, sizeof(event),
                         "config-ack DIGEST MISMATCH node=%d gen=%u", i,
-                        frame.generation);
+                        generation);
           Log(event);
         }
       }
     }
-    cursor -= fleet_->ConsumeControlRx(i, cursor);
+    cursor.Reclaim(fleet_, i, RxStream::kControl);
   }
 
   // Retransmit pass for the active push (stop-and-wait per node).
@@ -367,19 +239,27 @@ void FleetController::ProcessControlRx() {
     const uint64_t now = fleet_->now();
     for (int i = 0; i < fleet_->num_nodes(); ++i) {
       PushState& push = push_[static_cast<size_t>(i)];
-      if (!push.target || push.acked || now < push.deadline ||
-          push.retries >= policy_.max_config_retries) {
+      if (!push.target || push.acked || push.exhausted) {
         continue;
       }
-      ++push.retries;
-      push.deadline = now + policy_.config_timeout_cycles;
-      fleet_->SendToNode(i, EncodeConfigFrame(active_push_id_,
-                                              config_generation_,
-                                              active_blob_));
-      char event[64];
-      std::snprintf(event, sizeof(event), "config-resend node=%d try=%d", i,
-                    push.retries);
-      Log(event);
+      switch (push.channel.Check(now)) {
+        case StopAndWait::Poll::kWait:
+          break;
+        case StopAndWait::Poll::kExhausted:
+          push.exhausted = true;
+          break;
+        case StopAndWait::Poll::kResend: {
+          push.channel.Sent(now);
+          fleet_->SendToNode(i, EncodeConfigPush(active_push_id_,
+                                                 config_generation_,
+                                                 active_blob_));
+          char event[64];
+          std::snprintf(event, sizeof(event), "config-resend node=%d try=%d",
+                        i, push.channel.retries());
+          Log(event);
+          break;
+        }
+      }
     }
   }
 }
@@ -517,15 +397,15 @@ Status FleetController::PushConfig(
   for (int node : roster) {
     PushState& push = push_[static_cast<size_t>(node)];
     push.target = true;
-    push.deadline = fleet_->now() + policy_.config_timeout_cycles;
-    fleet_->SendToNode(node, EncodeConfigFrame(active_push_id_,
-                                               config_generation_,
-                                               active_blob_));
+    push.channel.Sent(fleet_->now());
+    fleet_->SendToNode(node, EncodeConfigPush(active_push_id_,
+                                              config_generation_,
+                                              active_blob_));
   }
   auto settled = [&] {
     for (int node : roster) {
       const PushState& push = push_[static_cast<size_t>(node)];
-      if (!push.acked && push.retries < policy_.max_config_retries) {
+      if (!push.acked && !push.exhausted) {
         return false;
       }
     }
@@ -622,9 +502,9 @@ Status FleetController::ScaleUp(int count) {
     // The clone starts with a copy of the source's applied config region;
     // its agent state must agree or the next push would mis-ack.
     agents_.back() = agents_[static_cast<size_t>(src)];
-    agents_.back().config_rx_offset = 0;
+    agents_.back().config_rx = RxCursor{};
     agents_.back().beacon_countdown = 1;
-    control_rx_offset_.push_back(0);
+    control_rx_.emplace_back();
     push_.emplace_back();
     new_ids.push_back(id);
     char event[64];

@@ -44,6 +44,7 @@
 #include "src/crypto/sha256.h"
 #include "src/fleet/attest.h"
 #include "src/fleet/fleet.h"
+#include "src/fleet/frame.h"
 #include "src/fleet/provision.h"
 #include "src/mem/layout.h"
 
@@ -70,24 +71,14 @@ std::string EncodeConfigBlob(
 // correct ack must report.
 Sha256Digest ConfigRegionDigest(uint32_t generation, const std::string& blob);
 
-// --- Control-plane wire frames (docs/WIRE_PROTOCOL.md) -------------------
-//
-// All three families are CRC-32-framed like the 0xD5 update chunks; the
-// scanners below resync on CRC failure, so corrupted or misrouted frames
-// cost O(new bytes) and are never fatal.
-//
-//   config push (0xC6, verifier -> node):
-//     marker(1) push_id(4) generation(4) len(2) blob(len) crc(4)
-//   config ack (0xC7, node -> verifier):
-//     marker(1) push_id(4) generation(4) digest(32) crc(4)
-//   health beacon (0xC8, node -> verifier):
-//     marker(1) cycle(8) instructions(8) tx(8) rx(8) config_gen(4)
-//     halted(1) crc(4)
+static_assert(kMaxConfigBlobBytes == kMaxConfigFrameData,
+              "a 0xC6 frame carries at most one full config region blob");
 
-std::string EncodeConfigFrame(uint32_t push_id, uint32_t generation,
-                              const std::string& blob);
-std::string EncodeConfigAck(uint32_t push_id, uint32_t generation,
-                            const Sha256Digest& digest);
+// Config push transport (fixed, not tunable): per-node retransmit deadline
+// of the 0xC6 frame. The retry budget is the shared kMaxRetransmits
+// (src/fleet/frame.h); the 0xC6/0xC7/0xC8 layouts are in the frame-kind
+// table there and in docs/WIRE_PROTOCOL.md.
+inline constexpr uint64_t kConfigTimeoutCycles = 400'000;
 
 // Node-reported health counters (node-local state only; see header note).
 struct HealthBeacon {
@@ -98,31 +89,6 @@ struct HealthBeacon {
   uint32_t config_generation = 0;  // Generation applied in the region.
   bool halted = false;
 };
-std::string EncodeHealthFrame(const HealthBeacon& beacon);
-
-enum class ControlScan { kFrame, kNeedMore, kNoFrame };
-
-// Node-side scanner over Fleet::ConfigRx (0xC6 frames only).
-ControlScan ScanConfigFrame(const std::string& rx, size_t offset,
-                            size_t* frame_start, size_t* next_offset,
-                            uint32_t* push_id, uint32_t* generation,
-                            std::string* blob);
-
-// Verifier-side scanner over Fleet::ControlRx: either frame family.
-struct ControlFrame {
-  enum class Kind { kConfigAck, kHealth };
-  Kind kind = Kind::kConfigAck;
-  // kConfigAck fields.
-  uint32_t push_id = 0;
-  uint32_t generation = 0;
-  Sha256Digest digest{};
-  // kHealth fields.
-  HealthBeacon beacon;
-};
-ControlScan ScanControlFrame(const std::string& rx, size_t offset,
-                             size_t* frame_start, size_t* next_offset,
-                             ControlFrame* frame);
-
 // --- Controller ----------------------------------------------------------
 
 struct FleetdPolicy {
@@ -135,9 +101,6 @@ struct FleetdPolicy {
   uint64_t epoch_idle_quanta = 32;
   // Node health agents emit a beacon every this many quanta (0 = off).
   uint32_t beacon_every_quanta = 8;
-  // Config push: per-node retransmit deadline and retry cap.
-  uint64_t config_timeout_cycles = 400'000;
-  int max_config_retries = 25;
   // Stop a phase with an error as soon as it quarantines a node (operator
   // halt-the-line policy; the node stays quarantined either way).
   bool halt_on_quarantine = false;
@@ -224,20 +187,19 @@ class FleetController {
  private:
   // Node-side agent state (config apply cursor, beacon countdown).
   struct NodeAgent {
-    size_t config_rx_offset = 0;
+    RxCursor config_rx;  // Into fleet Rx(node, kConfig).
     uint32_t applied_generation = 0;
     uint32_t applied_push_id = 0;
     Sha256Digest applied_digest{};
     bool has_applied = false;
     uint32_t beacon_countdown = 1;  // Quanta until the next beacon.
-    uint64_t config_noise_bytes = 0;
   };
   // Controller-side view of one node's progress through the active push.
   struct PushState {
     bool target = false;
     bool acked = false;
-    uint64_t deadline = 0;
-    int retries = 0;
+    bool exhausted = false;  // Retry budget spent without a matching ack.
+    StopAndWait channel{kConfigTimeoutCycles};
   };
 
   // One quantum: RunQuantum -> node agents -> control-stream processing ->
@@ -261,7 +223,7 @@ class FleetController {
   FleetdPolicy policy_;
   std::vector<NodeHealth> health_;
   std::vector<NodeAgent> agents_;
-  std::vector<size_t> control_rx_offset_;  // Verifier-side scan cursors.
+  std::vector<RxCursor> control_rx_;  // Verifier-side Rx(node, kControl).
   // Active config push (one at a time).
   uint32_t config_generation_ = 0;
   uint32_t active_push_id_ = 0;

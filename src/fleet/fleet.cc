@@ -15,10 +15,7 @@ Fleet::Fleet(const FleetConfig& config)
     : config_(config),
       fabric_(config.seed),
       pool_(config.threads),
-      verifier_rx_(static_cast<size_t>(config.nodes)),
-      update_rx_(static_cast<size_t>(config.nodes)),
-      config_rx_(static_cast<size_t>(config.nodes)),
-      control_rx_(static_cast<size_t>(config.nodes)),
+      rx_(static_cast<size_t>(config.nodes)),
       deliver_scratch_(static_cast<size_t>(config.nodes)),
       burst_scratch_(static_cast<size_t>(config.nodes)),
       gpio_out_scratch_(static_cast<size_t>(config.nodes)) {
@@ -43,18 +40,12 @@ void Fleet::RunQuantum() {
   fabric_.DeliverInto(kVerifierPort, now_, &verifier_scratch_);
   for (FleetMessage& message : verifier_scratch_) {
     if (message.src >= 0 && message.src < n) {
-      // Control-plane frames (config acks, health beacons) are split into
-      // their own stream so the attestation scanner and the controller each
-      // consume exactly one stream. Attestation reports start with 'R';
-      // a corrupted marker misroutes a frame into CRC rejection.
-      const uint8_t marker = message.payload.empty()
-                                 ? 0
-                                 : static_cast<uint8_t>(message.payload[0]);
-      if (marker == kConfigAckMarker || marker == kHealthFrameMarker) {
-        control_rx_[static_cast<size_t>(message.src)] += message.payload;
-      } else {
-        verifier_rx_[static_cast<size_t>(message.src)] += message.payload;
-      }
+      // Config acks and health beacons go to the control stream, all else
+      // (attestation reports, guest output) to the attest stream, so the
+      // attestation scanner and the controller each read one stream.
+      rx_[static_cast<size_t>(message.src)][static_cast<size_t>(
+          RouteFrame(FrameDir::kToVerifier, message.payload))] +=
+          message.payload;
     }
   }
 
@@ -71,22 +62,20 @@ void Fleet::RunQuantum() {
             deliver_scratch_[static_cast<size_t>(i)];
         fabric_.DeliverInto(i, now_, &due);
         for (FleetMessage& message : due) {
-          // Update transfer frames go to the staging stream, not the guest
-          // UART (marker comment in fleet.h). Only verifier-sourced frames
-          // qualify: a reflected/echoed frame from another node still hits
-          // the UART as noise. A corrupted first byte re-routes the frame —
-          // either way the campaign's CRC check catches it.
-          const uint8_t marker =
-              message.payload.empty()
-                  ? 0
-                  : static_cast<uint8_t>(message.payload[0]);
-          if (message.src == kVerifierPort && marker == kUpdateFrameMarker) {
-            update_rx_[static_cast<size_t>(i)] += message.payload;
-          } else if (message.src == kVerifierPort &&
-                     marker == kConfigFrameMarker) {
-            config_rx_[static_cast<size_t>(i)] += message.payload;
-          } else {
+          // Update and config frames go to their staging streams, read by
+          // the node's agents out-of-band of the guest; everything else
+          // reaches the guest UART. Only verifier-sourced frames qualify: a
+          // reflected/echoed frame from another node still hits the UART
+          // as noise.
+          const RxStream stream =
+              message.src == kVerifierPort
+                  ? RouteFrame(FrameDir::kToNode, message.payload)
+                  : RxStream::kGuestUart;
+          if (stream == RxStream::kGuestUart) {
             node.PushRx(message.payload);
+          } else {
+            rx_[static_cast<size_t>(i)][static_cast<size_t>(stream)] +=
+                message.payload;
           }
         }
         node.RunQuantum(target);
@@ -166,10 +155,7 @@ int Fleet::AddNode() {
   }
   nodes_.push_back(std::make_unique<FleetNode>(id, config_.seed,
                                                config_.platform));
-  verifier_rx_.emplace_back();
-  update_rx_.emplace_back();
-  config_rx_.emplace_back();
-  control_rx_.emplace_back();
+  rx_.emplace_back();
   deliver_scratch_.emplace_back();
   burst_scratch_.emplace_back();
   gpio_out_scratch_.push_back(0);
@@ -182,29 +168,9 @@ int Fleet::AddNode() {
   return id;
 }
 
-size_t Fleet::ConsumeVerifierRx(int node, size_t upto) {
-  std::string& rx = verifier_rx_[static_cast<size_t>(node)];
-  upto = std::min(upto, rx.size());
-  rx.erase(0, upto);
-  return upto;
-}
-
-size_t Fleet::ConsumeUpdateRx(int node, size_t upto) {
-  std::string& rx = update_rx_[static_cast<size_t>(node)];
-  upto = std::min(upto, rx.size());
-  rx.erase(0, upto);
-  return upto;
-}
-
-size_t Fleet::ConsumeConfigRx(int node, size_t upto) {
-  std::string& rx = config_rx_[static_cast<size_t>(node)];
-  upto = std::min(upto, rx.size());
-  rx.erase(0, upto);
-  return upto;
-}
-
-size_t Fleet::ConsumeControlRx(int node, size_t upto) {
-  std::string& rx = control_rx_[static_cast<size_t>(node)];
+size_t Fleet::Consume(int node, RxStream stream, size_t upto) {
+  assert(stream != RxStream::kGuestUart);
+  std::string& rx = rx_[static_cast<size_t>(node)][static_cast<size_t>(stream)];
   upto = std::min(upto, rx.size());
   rx.erase(0, upto);
   return upto;

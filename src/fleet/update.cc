@@ -7,7 +7,6 @@
 #include <set>
 
 #include "src/common/bytes.h"
-#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/mem/layout.h"
 
@@ -18,66 +17,7 @@ namespace {
 // to the key/tamper/challenge streams).
 constexpr uint64_t kCampaignSalt = 0x63616D706169676Eull;  // "campaign"
 
-constexpr size_t kFrameHeaderSize = 1 + 4 + 4 + 2;  // marker, cid, off, len
-
 }  // namespace
-
-std::string EncodeUpdateFrame(uint32_t campaign_id, uint32_t offset,
-                              const uint8_t* data, size_t len) {
-  std::vector<uint8_t> frame;
-  frame.reserve(kFrameHeaderSize + len + 4);
-  frame.push_back(kUpdateFrameMarker);
-  AppendLe32(frame, campaign_id);
-  AppendLe32(frame, offset);
-  frame.push_back(static_cast<uint8_t>(len));
-  frame.push_back(static_cast<uint8_t>(len >> 8));
-  frame.insert(frame.end(), data, data + len);
-  AppendLe32(frame, Crc32(frame.data(), frame.size()));
-  return std::string(frame.begin(), frame.end());
-}
-
-UpdateScan ScanUpdateFrame(const std::string& rx, size_t offset,
-                           size_t* frame_start, size_t* next_offset,
-                           uint32_t* campaign_id, uint32_t* chunk_offset,
-                           std::string* data) {
-  const size_t n = rx.size();
-  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(rx.data());
-  size_t pos = offset;
-  while (true) {
-    while (pos < n && bytes[pos] != kUpdateFrameMarker) {
-      ++pos;
-    }
-    if (pos >= n) {
-      return UpdateScan::kNoFrame;
-    }
-    *frame_start = pos;
-    if (n - pos < kFrameHeaderSize) {
-      return UpdateScan::kNeedMore;
-    }
-    const uint8_t* p = bytes + pos;
-    const uint16_t len = LoadLe16(p + 9);
-    if (len > kMaxUpdateFrameData) {
-      // A corrupted length would otherwise stall the scanner waiting for
-      // bytes that never come; oversized claims are noise.
-      ++pos;
-      continue;
-    }
-    const size_t total = kFrameHeaderSize + len + 4;
-    if (n - pos < total) {
-      return UpdateScan::kNeedMore;
-    }
-    if (LoadLe32(p + kFrameHeaderSize + len) !=
-        Crc32(p, kFrameHeaderSize + len)) {
-      ++pos;  // CRC-invalid candidate: resync from the next byte.
-      continue;
-    }
-    *campaign_id = LoadLe32(p + 1);
-    *chunk_offset = LoadLe32(p + 5);
-    data->assign(rx.data() + pos + kFrameHeaderSize, len);
-    *next_offset = pos + total;
-    return UpdateScan::kFrame;
-  }
-}
 
 const char* UpdatePhaseName(UpdatePhase phase) {
   switch (phase) {
@@ -157,10 +97,6 @@ Status UpdateCampaign::Start() {
   if (config_.canary_pct < 1 || config_.canary_pct > 100) {
     return InvalidArgument("canary_pct must be in [1, 100]");
   }
-  if (config_.chunk_bytes == 0 || config_.chunk_bytes > kMaxUpdateFrameData) {
-    return InvalidArgument("chunk_bytes must be in [1, " +
-                           std::to_string(kMaxUpdateFrameData) + "]");
-  }
   Result<FirmwareImage> image = ParseFirmware(base_container_);
   if (!image.ok()) {
     return image.status();
@@ -234,7 +170,7 @@ Status UpdateCampaign::OpenWave(const std::vector<int>& wave,
     NodeState& ns = nodes_[static_cast<size_t>(node)];
     ns.state = UpdateNodeState::kTransferring;
     ns.acked = 0;
-    ns.retries = 0;
+    ns.channel.Open();
     SendChunk(node);
   }
   return OkStatus();
@@ -243,64 +179,58 @@ Status UpdateCampaign::OpenWave(const std::vector<int>& wave,
 void UpdateCampaign::SendChunk(int node) {
   NodeState& ns = nodes_[static_cast<size_t>(node)];
   const size_t n =
-      std::min<size_t>(config_.chunk_bytes, ns.container.size() - ns.acked);
+      std::min<size_t>(kUpdateChunkBytes, ns.container.size() - ns.acked);
+  std::vector<uint8_t> head;
+  AppendLe32(head, campaign_id_);
+  AppendLe32(head, static_cast<uint32_t>(ns.acked));
   fleet_->SendToNode(
-      node, EncodeUpdateFrame(campaign_id_, static_cast<uint32_t>(ns.acked),
-                              ns.container.data() + ns.acked, n));
-  ns.deadline = fleet_->now() + config_.chunk_timeout_cycles;
+      node, EncodeFrame(kUpdateFrameMarker, head,
+                        std::string_view(reinterpret_cast<const char*>(
+                                             ns.container.data() + ns.acked),
+                                         n)));
+  ns.channel.Sent(fleet_->now());
 }
 
 void UpdateCampaign::PumpTransfer(int node) {
   NodeState& ns = nodes_[static_cast<size_t>(node)];
-  const std::string& rx = fleet_->UpdateRx(node);
-  uint32_t cid = 0;
-  uint32_t chunk_offset = 0;
-  std::string data;
-  while (ns.state == UpdateNodeState::kTransferring) {
-    size_t frame_start = 0;
-    size_t next_offset = 0;
-    const UpdateScan scan = ScanUpdateFrame(
-        rx, ns.rx_offset, &frame_start, &next_offset, &cid, &chunk_offset,
-        &data);
-    if (scan == UpdateScan::kNoFrame) {
-      ns.noise_bytes += rx.size() - ns.rx_offset;
-      ns.rx_offset = rx.size();
-      break;
-    }
-    if (scan == UpdateScan::kNeedMore) {
-      ns.noise_bytes += frame_start - ns.rx_offset;
-      ns.rx_offset = frame_start;
-      break;
-    }
-    ns.noise_bytes += frame_start - ns.rx_offset;
-    ns.rx_offset = next_offset;
+  const std::string& rx = fleet_->Rx(node, RxStream::kUpdate);
+  Frame frame;
+  while (ns.state == UpdateNodeState::kTransferring &&
+         ns.rx.Next(rx, RxStream::kUpdate, &frame)) {
     // Stop-and-wait acceptance: only the exact next chunk of THIS campaign
     // advances the stage. Duplicates (retransmits, link-level replays) and
     // cross-campaign frames fall through as no-ops — the campaign-id filter
     // is what makes a replayed chunk from an earlier rollout inert.
-    if (cid != campaign_id_ || chunk_offset != ns.acked ||
-        ns.acked + data.size() > ns.container.size()) {
+    if (LoadLe32(frame.head) != campaign_id_ ||
+        LoadLe32(frame.head + 4) != ns.acked ||
+        ns.acked + frame.data.size() > ns.container.size()) {
       continue;
     }
-    ns.acked += data.size();
+    ns.acked += frame.data.size();
     if (ns.acked >= ns.container.size()) {
       ApplyAtNode(node);
     } else {
       SendChunk(node);
     }
   }
-  ns.rx_offset -= fleet_->ConsumeUpdateRx(node, ns.rx_offset);
-  if (ns.state == UpdateNodeState::kTransferring &&
-      fleet_->now() >= ns.deadline) {
-    if (++ns.retries > config_.max_chunk_retries) {
+  ns.rx.Reclaim(fleet_, node, RxStream::kUpdate);
+  if (ns.state != UpdateNodeState::kTransferring) {
+    return;
+  }
+  switch (ns.channel.Check(fleet_->now())) {
+    case StopAndWait::Poll::kWait:
+      break;
+    case StopAndWait::Poll::kResend:
+      SendChunk(node);  // Retransmit the outstanding chunk.
+      break;
+    case StopAndWait::Poll::kExhausted: {
       ns.state = UpdateNodeState::kRejected;
       char line[80];
       std::snprintf(line, sizeof(line),
                     "transfer failed at offset %zu after %d retries",
-                    ns.acked, ns.retries - 1);
+                    ns.acked, ns.channel.retries());
       LogNode(node, line);
-    } else {
-      SendChunk(node);  // Retransmit the outstanding chunk.
+      break;
     }
   }
 }

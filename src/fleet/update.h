@@ -18,12 +18,12 @@
 // the evidence.
 //
 // Transfer transport: per-node signed .tlfw containers move as CRC-framed
-// chunks (kUpdateFrameMarker frames) over the verifier links, stop-and-wait
-// with cycle-deadline retransmit. Frames share the links with attestation
-// traffic, so latency, loss and the PR7 hostile modes all apply; the
-// campaign-id field defeats cross-campaign frame replay, and the final
-// container parse + signature check rejects anything corruption smuggled
-// through.
+// chunks (kUpdateFrameMarker frames, src/fleet/frame.h) over the verifier
+// links, stop-and-wait with cycle-deadline retransmit (StopAndWait). Frames
+// share the links with attestation traffic, so latency, loss and the
+// hostile link modes all apply; the campaign-id field defeats
+// cross-campaign frame replay, and the final container parse + signature
+// check rejects anything corruption smuggled through.
 //
 // Determinism: the campaign acts only at quantum boundaries, on fleet-owned
 // streams, in node-id order — its transcript is bit-identical across host
@@ -38,30 +38,17 @@
 
 #include "src/fleet/attest.h"
 #include "src/fleet/fleet.h"
+#include "src/fleet/frame.h"
 #include "src/update/apply.h"
 #include "src/update/fw_container.h"
 
 namespace trustlite {
 
-// Largest data run a single transfer frame may carry; bounds what a
-// corrupted length field can make the scanner wait for.
-inline constexpr uint32_t kMaxUpdateFrameData = 4096;
-
-// Transfer frame: marker, campaign id, chunk offset, data length, data,
-// CRC-32 over everything before the CRC.
-std::string EncodeUpdateFrame(uint32_t campaign_id, uint32_t offset,
-                              const uint8_t* data, size_t len);
-
-// Incremental frame scanner over a staging stream, mirroring
-// ScanAttestationResponse: kFrame parsed a CRC-valid frame, kNeedMore found
-// a marker whose frame is still streaming (resume at *frame_start),
-// kNoFrame means the whole tail is noise. CRC-invalid candidates are
-// skipped as noise, not returned.
-enum class UpdateScan { kFrame, kNeedMore, kNoFrame };
-UpdateScan ScanUpdateFrame(const std::string& rx, size_t offset,
-                           size_t* frame_start, size_t* next_offset,
-                           uint32_t* campaign_id, uint32_t* chunk_offset,
-                           std::string* data);
+// Transfer transport (fixed, not tunable): container bytes per 0xD5 chunk
+// frame, and the per-chunk retransmit deadline. The retry budget is the
+// shared kMaxRetransmits (src/fleet/frame.h).
+inline constexpr uint32_t kUpdateChunkBytes = 512;
+inline constexpr uint64_t kUpdateChunkTimeoutCycles = 200'000;
 
 struct UpdateCampaignConfig {
   // Percent of the eligible (verified) population updated first. 100 makes
@@ -70,11 +57,6 @@ struct UpdateCampaignConfig {
   // Abort + roll back uncommitted nodes when a re-attestation quarantines.
   // When false, quarantined nodes are skipped and the rollout continues.
   bool halt_on_quarantine = true;
-  // Transfer granule per frame.
-  uint32_t chunk_bytes = 512;
-  // Retransmit deadline per chunk, and retries before the node is failed.
-  uint64_t chunk_timeout_cycles = 200'000;
-  int max_chunk_retries = 25;
 };
 
 enum class UpdatePhase {
@@ -140,10 +122,8 @@ class UpdateCampaign {
     UpdateNodeState state = UpdateNodeState::kIneligible;
     std::vector<uint8_t> container;   // Signed for this node's update key.
     size_t acked = 0;                 // Container bytes staged at the node.
-    size_t rx_offset = 0;             // Scan cursor into fleet UpdateRx.
-    uint64_t deadline = 0;            // Retransmit deadline for the chunk.
-    int retries = 0;
-    uint64_t noise_bytes = 0;         // Unframeable staging bytes skipped.
+    RxCursor rx;                      // Into fleet Rx(node, kUpdate).
+    StopAndWait channel{kUpdateChunkTimeoutCycles};
     // Captured at apply time for abort rollback.
     std::vector<uint8_t> old_window;
     std::vector<uint8_t> old_golden;

@@ -263,6 +263,12 @@ struct ErrorCase {
   const char* substring;
 };
 
+// Names the case in test listings; gtest's default byte dump of the three
+// pointers would make the test names differ from one run to the next.
+void PrintTo(const ErrorCase& error_case, std::ostream* os) {
+  *os << error_case.name;
+}
+
 class AssemblerErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
 TEST_P(AssemblerErrorTest, ReportsError) {

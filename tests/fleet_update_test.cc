@@ -153,65 +153,6 @@ int CountStates(const CampaignOutcome& outcome, UpdateNodeState want) {
 }
 
 // ---------------------------------------------------------------------------
-// Frame scanner unit properties.
-
-TEST(UpdateFrameTest, EncodeScanRoundTrip) {
-  const uint8_t data[] = {1, 2, 3, 4, 5};
-  const std::string frame = EncodeUpdateFrame(0xABCD1234, 512, data, 5);
-  ASSERT_EQ(static_cast<uint8_t>(frame[0]), kUpdateFrameMarker);
-  size_t frame_start = 0;
-  size_t next = 0;
-  uint32_t cid = 0;
-  uint32_t offset = 0;
-  std::string payload;
-  const std::string rx = std::string("noise") + frame + "tail";
-  EXPECT_EQ(ScanUpdateFrame(rx, 0, &frame_start, &next, &cid, &offset,
-                            &payload),
-            UpdateScan::kFrame);
-  EXPECT_EQ(frame_start, 5u);
-  EXPECT_EQ(next, 5u + frame.size());
-  EXPECT_EQ(cid, 0xABCD1234u);
-  EXPECT_EQ(offset, 512u);
-  EXPECT_EQ(payload, std::string(data, data + 5));
-}
-
-TEST(UpdateFrameTest, CorruptedFrameSkippedAsNoise) {
-  const uint8_t data[] = {9, 9, 9, 9};
-  std::string frame = EncodeUpdateFrame(1, 0, data, 4);
-  frame[6] ^= 0x40;  // Damage the offset field; the CRC no longer matches.
-  size_t frame_start = 0;
-  size_t next = 0;
-  uint32_t cid = 0;
-  uint32_t offset = 0;
-  std::string payload;
-  EXPECT_EQ(ScanUpdateFrame(frame, 0, &frame_start, &next, &cid, &offset,
-                            &payload),
-            UpdateScan::kNoFrame);
-  // A valid frame after the damaged one is still found.
-  const std::string good = EncodeUpdateFrame(1, 4, data, 4);
-  const std::string rx = frame + good;
-  EXPECT_EQ(ScanUpdateFrame(rx, 0, &frame_start, &next, &cid, &offset,
-                            &payload),
-            UpdateScan::kFrame);
-  EXPECT_EQ(offset, 4u);
-}
-
-TEST(UpdateFrameTest, PartialFrameReportsNeedMore) {
-  const uint8_t data[] = {7, 7, 7};
-  const std::string frame = EncodeUpdateFrame(2, 0, data, 3);
-  const std::string partial = frame.substr(0, frame.size() - 2);
-  size_t frame_start = 99;
-  size_t next = 0;
-  uint32_t cid = 0;
-  uint32_t offset = 0;
-  std::string payload;
-  EXPECT_EQ(ScanUpdateFrame(partial, 0, &frame_start, &next, &cid, &offset,
-                            &payload),
-            UpdateScan::kNeedMore);
-  EXPECT_EQ(frame_start, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Campaign end-to-end.
 
 TEST(FleetUpdateTest, CleanRolloutCommitsEveryNodeAndReattests) {

@@ -1,6 +1,7 @@
 // Copyright 2026 The TrustLite Reproduction Authors.
-// Fleet control-plane tests (DESIGN.md §17): the control wire codecs
-// (config push / ack / health), the FleetController lifecycle — attestation-
+// Fleet control-plane tests (DESIGN.md §17): the config blob and region
+// digest (the frame codecs are in frame_test.cc), the FleetController
+// lifecycle — attestation-
 // gated admission, re-attestation epochs, digest-checked config push,
 // snapshot scale-up with in-place re-key — and the headline properties:
 // quarantine reasons are stable and correct, a restored clone attests as
@@ -25,77 +26,7 @@
 namespace trustlite {
 namespace {
 
-// --- Wire codecs ---------------------------------------------------------
-
-TEST(ControlWireTest, ConfigFrameRoundTrip) {
-  const std::string frame = EncodeConfigFrame(0xDEADBEEF, 7, "mode=eco\n");
-  size_t frame_start = 0;
-  size_t next_offset = 0;
-  uint32_t push_id = 0;
-  uint32_t generation = 0;
-  std::string blob;
-  ASSERT_EQ(ScanConfigFrame(frame, 0, &frame_start, &next_offset, &push_id,
-                            &generation, &blob),
-            ControlScan::kFrame);
-  EXPECT_EQ(push_id, 0xDEADBEEFu);
-  EXPECT_EQ(generation, 7u);
-  EXPECT_EQ(blob, "mode=eco\n");
-  EXPECT_EQ(next_offset, frame.size());
-}
-
-TEST(ControlWireTest, ConfigScannerSkipsNoiseAndCorruption) {
-  std::string stream = "garbage";
-  std::string corrupted = EncodeConfigFrame(1, 1, "k=v\n");
-  corrupted[5] ^= 0x40;  // Body flip: CRC must reject.
-  stream += corrupted;
-  stream += EncodeConfigFrame(2, 2, "k=w\n");
-  size_t frame_start = 0;
-  size_t next_offset = 0;
-  uint32_t push_id = 0;
-  uint32_t generation = 0;
-  std::string blob;
-  ASSERT_EQ(ScanConfigFrame(stream, 0, &frame_start, &next_offset, &push_id,
-                            &generation, &blob),
-            ControlScan::kFrame);
-  EXPECT_EQ(push_id, 2u);
-  EXPECT_EQ(blob, "k=w\n");
-}
-
-TEST(ControlWireTest, AckAndHealthShareOneScanner) {
-  HealthBeacon beacon;
-  beacon.cycle = 123'456'789;
-  beacon.instructions = 42;
-  beacon.tx_bytes = 7;
-  beacon.rx_bytes = 9;
-  beacon.config_generation = 3;
-  beacon.halted = true;
-  const Sha256Digest digest = ConfigRegionDigest(3, "a=b\n");
-  std::string stream = EncodeHealthFrame(beacon);
-  stream += "noise";
-  stream += EncodeConfigAck(55, 3, digest);
-
-  size_t frame_start = 0;
-  size_t next_offset = 0;
-  ControlFrame frame;
-  ASSERT_EQ(ScanControlFrame(stream, 0, &frame_start, &next_offset, &frame),
-            ControlScan::kFrame);
-  ASSERT_EQ(frame.kind, ControlFrame::Kind::kHealth);
-  EXPECT_EQ(frame.beacon.cycle, beacon.cycle);
-  EXPECT_EQ(frame.beacon.instructions, beacon.instructions);
-  EXPECT_EQ(frame.beacon.tx_bytes, beacon.tx_bytes);
-  EXPECT_EQ(frame.beacon.rx_bytes, beacon.rx_bytes);
-  EXPECT_EQ(frame.beacon.config_generation, beacon.config_generation);
-  EXPECT_TRUE(frame.beacon.halted);
-
-  ASSERT_EQ(ScanControlFrame(stream, next_offset, &frame_start, &next_offset,
-                             &frame),
-            ControlScan::kFrame);
-  ASSERT_EQ(frame.kind, ControlFrame::Kind::kConfigAck);
-  EXPECT_EQ(frame.push_id, 55u);
-  EXPECT_EQ(frame.generation, 3u);
-  EXPECT_EQ(frame.digest, digest);
-  EXPECT_EQ(next_offset, stream.size());
-}
+// --- Config blob ---------------------------------------------------------
 
 TEST(ControlWireTest, BlobAndRegionDigest) {
   const std::string blob =
@@ -205,6 +136,39 @@ TEST(FleetControllerTest, HaltOnQuarantineFailsThePhase) {
   const Status status = s.controller->RunAdmission();
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("halt-on-quarantine"), std::string::npos);
+}
+
+TEST(FleetControllerTest, ConfigPushWaitsOutItsLastResendBeforeFailing) {
+  Session s = MakeSession(2, 3, 1, FleetdPolicy{});
+  ASSERT_TRUE(s.controller->RunAdmission().ok());
+  ASSERT_EQ(s.controller->Admitted().size(), 2u);
+  // From here on every node -> verifier frame is lost: pushes arrive and
+  // are applied, but no ack ever comes back.
+  LinkParams dead = s.controller->fleet().config().link;
+  dead.loss_ppm = 1'000'000;
+  for (int i = 0; i < 2; ++i) {
+    s.controller->fleet().fabric().Connect(i, kVerifierPort, dead);
+  }
+  const uint64_t began = s.controller->fleet().now();
+  const size_t log_start = s.controller->transcript().size();
+
+  const Status status = s.controller->PushConfig({{"mode", "eco"}});
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("retries exhausted"), std::string::npos);
+
+  const std::string log = s.controller->transcript().substr(log_start);
+  for (int i = 0; i < 2; ++i) {
+    const std::string resend = "config-resend node=" + std::to_string(i) + " ";
+    int resends = 0;
+    for (size_t at = log.find(resend); at != std::string::npos;
+         at = log.find(resend, at + 1)) {
+      ++resends;
+    }
+    EXPECT_EQ(resends, kMaxRetransmits) << "node " << i;
+  }
+  // The first send and each of the 25 resends get a full deadline.
+  EXPECT_GE(s.controller->fleet().now() - began,
+            static_cast<uint64_t>(kMaxRetransmits + 1) * kConfigTimeoutCycles);
 }
 
 // --- Snapshot scale-up (mid-run node cloning) ----------------------------

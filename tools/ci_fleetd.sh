@@ -4,12 +4,18 @@
 #  * a 256-node warm-boot session — admission, 3 re-attestation epochs, a
 #    digest-checked config push, scale-up by 8 snapshot clones, drain —
 #    completes with every node admitted, and its transcript, status epochs
-#    and fleet digest are bit-identical at --threads 1 and 8,
+#    and fleet digest are bit-identical at --threads 1 and 8 and equal to
+#    pinned values,
 #  * the status stream has exactly one JSON epoch per phase, in order,
 #  * quarantine reasons are stable: a tampered node reports
 #    "reason":"mismatch" and --halt-on-quarantine turns it into a failure,
-#  * a hostile-all link matrix cannot defeat the control plane and stays
-#    deterministic across thread counts.
+#  * a hostile-all link matrix cannot defeat the control plane, stays
+#    deterministic across thread counts and matches its pinned transcript
+#    and digest.
+#
+# The pins are SHA-256 sums of the --threads 1 outputs. A change to any
+# frame byte or send cycle moves them; update them only for an intended
+# change to the wire protocol or the simulated timing.
 #
 # usage: tools/ci_fleetd.sh <tlfleetd-binary> [work-dir]
 set -euo pipefail
@@ -19,6 +25,9 @@ WORK="${2:-$(mktemp -d)}"
 mkdir -p "$WORK"
 
 fail() { echo "ci_fleetd: FAIL: $*" >&2; exit 1; }
+
+# pinned <file> <sha256>: the file's SHA-256 equals the pin.
+pinned() { [ "$(sha256sum < "$1" | cut -d' ' -f1)" = "$2" ]; }
 
 # --- Stage 1: 256-node session, deterministic across threads. --------------
 for threads in 1 8; do
@@ -39,6 +48,15 @@ cmp -s "$WORK/status_t1.json" "$WORK/status_t8.json" \
 [ "$(grep '^fleet-digest:' "$WORK/out_t1.txt")" = \
   "$(grep '^fleet-digest:' "$WORK/out_t8.txt")" ] \
     || fail "fleet digests differ between --threads 1 and 8"
+pinned "$WORK/transcript_t1.txt" \
+    6f0a1ebad729fef6d7f8135b56a8795d28cb34dddbef34e883bc0d3fcce106b3 \
+    || fail "session transcript drifted from its pin"
+pinned "$WORK/status_t1.json" \
+    7a72128634c5d5f9fe4e397970a6f09d1b09eeee7a2a2e1e3f22389c691ac919 \
+    || fail "session status epochs drifted from their pin"
+grep -qx "fleet-digest: \
+0c4f4d5843467fbe7157878663dd06337b109b443f71ba06570172af9bffac88" \
+    "$WORK/out_t1.txt" || fail "session fleet digest drifted from its pin"
 echo "ci_fleetd: 256-node session deterministic at t1/t8"
 
 # --- Stage 2: one JSON epoch per phase, in lifecycle order. ----------------
@@ -86,6 +104,12 @@ cmp -s "$WORK/hostile_t1.txt" "$WORK/hostile_t8.txt" \
 [ "$(grep '^fleet-digest:' "$WORK/hostile_out_t1.txt")" = \
   "$(grep '^fleet-digest:' "$WORK/hostile_out_t8.txt")" ] \
     || fail "hostile fleet digests differ between --threads 1 and 8"
+pinned "$WORK/hostile_t1.txt" \
+    605da93f3ed20066f538cc897478ae17fea8dedd36aa5398b22ceec816e57e21 \
+    || fail "hostile transcript drifted from its pin"
+grep -qx "fleet-digest: \
+543d4d7e154df37fdd0c053b119d077dcbec008852e7a1085ec0c8df07c6069d" \
+    "$WORK/hostile_out_t1.txt" || fail "hostile fleet digest drifted from its pin"
 echo "ci_fleetd: hostile-all matrix ok"
 
 echo "ci_fleetd: all checks passed"

@@ -3,7 +3,8 @@
 # .tlfw → fleet rollout pipeline and enforces:
 #  * tlfw pack/info/sign/verify round-trips, and a wrong key fails closed,
 #  * a 256-node warm-boot staged rollout (10% canary) commits every node,
-#    with transcripts and fleet digests bit-identical at --threads 1 and 8,
+#    with transcripts and fleet digests bit-identical at --threads 1 and 8
+#    and equal to pinned values (wire bytes and send cycles cannot drift),
 #  * a mid-campaign canary tamper halts the rollout, rolls back the
 #    uncommitted canaries and quarantines the tampered node,
 #  * replaying the previous (still correctly signed) image is rejected
@@ -19,6 +20,12 @@ WORK="${4:-$(mktemp -d)}"
 mkdir -p "$WORK"
 
 fail() { echo "ci_update: FAIL: $*" >&2; exit 1; }
+
+# Pinned --threads 1 results of the clean rollout. A change to any frame
+# byte or send cycle moves them; update them only for an intended change
+# to the wire protocol or the simulated timing.
+PIN_CLEAN_TRANSCRIPT=a0406963d58eaf394c9459b59af985b86072ebc89e19c1acbc205abc50d1642d
+PIN_CLEAN_DIGEST=d6d5007f2bf19b641b3bf3eeeac29f6518ddbf00c07954e68372731aa4bc0a84
 
 # --- Stage 1: container tool round-trip. -----------------------------------
 "$TLFW" pack "$WORK/v2.tlfw" --version 2 --name ci-v2 \
@@ -54,6 +61,10 @@ cmp -s "$WORK/clean_t1.txt" "$WORK/clean_t8.txt" \
 [ "$(grep '^fleet-digest:' "$WORK/clean_out_t1.txt")" = \
   "$(grep '^fleet-digest:' "$WORK/clean_out_t8.txt")" ] \
     || fail "clean rollout fleet digests differ between --threads 1 and 8"
+[ "$(sha256sum < "$WORK/clean_t1.txt" | cut -d' ' -f1)" = \
+  "$PIN_CLEAN_TRANSCRIPT" ] || fail "clean rollout transcript drifted from its pin"
+grep -qx "fleet-digest: $PIN_CLEAN_DIGEST" "$WORK/clean_out_t1.txt" \
+    || fail "clean rollout fleet digest drifted from its pin"
 echo "ci_update: clean 256-node rollout ok"
 
 # --- Stage 3: mid-campaign tamper => halt, rollback, quarantine. -----------
