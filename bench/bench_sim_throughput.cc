@@ -76,12 +76,10 @@ void BM_InterpreterWithMpu(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpreterWithMpu);
 
-// Dispatch ladder (DESIGN.md §15), middle rung: same workload and MPU
-// layout with superinstruction fusion switched off, isolating the fusion
-// layer's contribution on top of threaded dispatch + decode cache. The top
-// rung is BM_InterpreterWithMpu above; the bottom (portable switch) rung is
-// the same binary rebuilt with -DTRUSTLITE_PORTABLE_DISPATCH=ON
-// (tools/ci_dispatch.sh builds that configuration).
+// Dispatch ladder (DESIGN.md §15): same workload and MPU layout with
+// superinstruction fusion switched off, isolating the fusion layer's
+// contribution on top of switch dispatch + decode cache. The fused rung is
+// BM_InterpreterWithMpu above.
 void BM_InterpreterWithMpuNoFusion(benchmark::State& state) {
   PlatformConfig config;
   config.fusion = false;

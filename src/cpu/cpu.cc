@@ -1,28 +1,15 @@
 // Copyright 2026 The TrustLite Reproduction Authors.
 //
-// Interpreter core. The instruction semantics live in the TL_SEMANTICS
-// X-macro below, which is expanded twice: once into the portable switch
-// inside Execute() (used by Step(), the fused-group executor, and the
-// portable-dispatch build), and once into the computed-goto label bodies of
-// RunLoop() (token-threaded dispatch, GCC/Clang only). Both expansions share
-// the exact same token sequence per opcode, so the two dispatch strategies
-// cannot drift apart; the differential harness additionally verifies them
-// against each other (tests/differential_test.cc).
+// Interpreter core: one fetch-decode-execute path. FetchDecode() (interrupt
+// recognition, alignment check, fetch, decode cache) and ExecuteOne()
+// (Execute()'s switch plus retire bookkeeping) serve both the public
+// single-step entry Step() and the RunLoop() behind Run()/RunUntilCycle();
+// the run loop adds only the superinstruction-fusion hook between the two.
 
 #include "src/cpu/cpu.h"
 
 #include <algorithm>
 #include <cassert>
-
-// Dispatch strategy selection (DESIGN.md §15). TRUSTLITE_PORTABLE_DISPATCH
-// (CMake option of the same name) forces the portable switch even under
-// compilers that support the GNU computed-goto extension.
-#if !defined(TRUSTLITE_PORTABLE_DISPATCH) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define TRUSTLITE_COMPUTED_GOTO 1
-#else
-#define TRUSTLITE_COMPUTED_GOTO 0
-#endif
 
 namespace trustlite {
 
@@ -53,9 +40,15 @@ inline void StoreWordLe(uint8_t* p, uint32_t v) {
   p[3] = static_cast<uint8_t>(v >> 24);
 }
 
+constexpr int32_t Signed(uint32_t v) { return static_cast<int32_t>(v); }
+
+constexpr uint32_t ShiftRightArith(uint32_t v, uint32_t shift) {
+  return static_cast<uint32_t>(Signed(v) >> (shift & 31));
+}
+
 // Opcodes allowed in the interior of a fused group: straight-line, cannot
 // redirect control, and any fault they raise is delivered precisely by
-// FinishExecute. SWI is excluded (it is an exception by construction), as
+// ExecuteOne. SWI is excluded (it is an exception by construction), as
 // are IRET (restores FLAGS, may change privilege mid-group) and the Sancus
 // pseudo-instructions (their hook may reconfigure protection or memory).
 constexpr bool FusableInterior(Opcode op) {
@@ -101,164 +94,13 @@ inline bool FusableTail(Opcode op) {
 
 }  // namespace
 
-// Per-opcode semantics, single-sourced for both dispatch strategies. The
-// expansion context provides: `insn` (the decoded instruction), `out` (the
-// ExecOutcome being built, pre-initialized to {cycles = c.alu}), `c` (the
-// cycle model), and the `rs1()`/`rs2()` register readers. Bodies must not
-// contain a bare `break` (they expand into goto-label blocks as well as
-// switch cases); multi-way outcomes are expressed with if/else.
-#define TL_BRANCH_BODY(cond)                      \
-  const uint32_t a = regs_[insn.rd];              \
-  const uint32_t b = regs_[insn.rs1];             \
-  if (cond) {                                     \
-    ip_ += static_cast<uint32_t>(insn.imm);       \
-    out.control_transfer = true;                  \
-    out.cycles = c.control_taken;                 \
-  } else {                                        \
-    out.cycles = c.control_not_taken;             \
-  }
-
-#define TL_LOAD_BODY(W)                                                       \
-  const uint32_t addr = rs1() + static_cast<uint32_t>(insn.imm);              \
-  if (((W) == 1 || (addr & 3) == 0) && WindowCovers(read_window_, addr, (W))) { \
-    ++stats_.data_window_hits;                                                \
-    regs_[insn.rd] =                                                          \
-        (W) == 4 ? LoadWordLe(read_window_.ro + (addr - read_window_.lo))     \
-                 : read_window_.ro[addr - read_window_.lo];                   \
-    out.cycles = c.memory + read_window_.wait_states;                         \
-  } else {                                                                    \
-    uint32_t value = 0;                                                       \
-    uint32_t wait = 0;                                                        \
-    const AccessResult r =                                                    \
-        bus_->Read(DataContext(AccessKind::kRead), addr, (W), &value, &wait); \
-    if (r != AccessResult::kOk) {                                             \
-      out.fault_class = ExcClassOf(r);                                        \
-      out.fault_addr = addr;                                                  \
-    } else {                                                                  \
-      regs_[insn.rd] = value;                                                 \
-      out.cycles = c.memory + wait;                                           \
-      if (data_window_enabled_) {                                             \
-        TryBuildDataWindow(/*is_write=*/false, addr);                         \
-      }                                                                       \
-    }                                                                         \
-  }
-
-#define TL_STORE_BODY(W)                                                      \
-  const uint32_t addr = rs1() + static_cast<uint32_t>(insn.imm);              \
-  if (((W) == 1 || (addr & 3) == 0) &&                                        \
-      WindowCovers(write_window_, addr, (W))) {                               \
-    ++stats_.data_window_hits;                                                \
-    uint8_t* p = write_window_.rw + (addr - write_window_.lo);                \
-    if ((W) == 4) {                                                           \
-      StoreWordLe(p, regs_[insn.rd]);                                         \
-    } else {                                                                  \
-      p[0] = static_cast<uint8_t>(regs_[insn.rd]);                            \
-    }                                                                         \
-    /* The store bypassed Bus::Write: bump the memory generation so the    */ \
-    /* decode and fusion caches revalidate, exactly as a bus store would.  */ \
-    bus_->NoteHostMutation();                                                 \
-    out.cycles = c.memory + write_window_.wait_states;                        \
-  } else {                                                                    \
-    uint32_t wait = 0;                                                        \
-    const AccessResult r = bus_->Write(DataContext(AccessKind::kWrite),       \
-                                       addr, (W), regs_[insn.rd], &wait);     \
-    if (r != AccessResult::kOk) {                                             \
-      out.fault_class = ExcClassOf(r);                                        \
-      out.fault_addr = addr;                                                  \
-    } else {                                                                  \
-      out.cycles = c.memory + wait;                                           \
-      if (data_window_enabled_) {                                             \
-        TryBuildDataWindow(/*is_write=*/true, addr);                          \
-      }                                                                       \
-    }                                                                         \
-  }
-
-#define TL_SANCUS_BODY                             \
-  if (!(sancus_hook_ && sancus_hook_(insn, this))) { \
-    out.fault_class = kExcIllegal;                 \
-    out.fault_addr = ip_;                          \
-  }
-
-#define TL_SEMANTICS(X)                                                       \
-  X(kNop, ;)                                                                  \
-  X(kHalt, out.halted = true;)                                                \
-  X(kAdd, regs_[insn.rd] = rs1() + rs2();)                                    \
-  X(kSub, regs_[insn.rd] = rs1() - rs2();)                                    \
-  X(kAnd, regs_[insn.rd] = rs1() & rs2();)                                    \
-  X(kOr, regs_[insn.rd] = rs1() | rs2();)                                     \
-  X(kXor, regs_[insn.rd] = rs1() ^ rs2();)                                    \
-  X(kShl, regs_[insn.rd] = rs1() << (rs2() & 31);)                            \
-  X(kShr, regs_[insn.rd] = rs1() >> (rs2() & 31);)                            \
-  X(kSra, regs_[insn.rd] = static_cast<uint32_t>(static_cast<int32_t>(rs1()) >> \
-                                                 (rs2() & 31));)              \
-  X(kMul, regs_[insn.rd] = rs1() * rs2(); out.cycles = c.mul;)                \
-  X(kSltu, regs_[insn.rd] = rs1() < rs2() ? 1 : 0;)                           \
-  X(kSlt, regs_[insn.rd] = static_cast<int32_t>(rs1()) <                      \
-                                   static_cast<int32_t>(rs2())                \
-                               ? 1                                            \
-                               : 0;)                                          \
-  X(kAddi, regs_[insn.rd] = rs1() + static_cast<uint32_t>(insn.imm);)         \
-  X(kAndi, regs_[insn.rd] = rs1() & static_cast<uint32_t>(insn.imm);)         \
-  X(kOri, regs_[insn.rd] = rs1() | static_cast<uint32_t>(insn.imm);)          \
-  X(kXori, regs_[insn.rd] = rs1() ^ static_cast<uint32_t>(insn.imm);)         \
-  X(kShli, regs_[insn.rd] = rs1() << (insn.imm & 31);)                        \
-  X(kShri, regs_[insn.rd] = rs1() >> (insn.imm & 31);)                        \
-  X(kSrai, regs_[insn.rd] = static_cast<uint32_t>(static_cast<int32_t>(rs1()) >> \
-                                                  (insn.imm & 31));)          \
-  X(kMovi, regs_[insn.rd] = static_cast<uint32_t>(insn.imm);)                 \
-  X(kLui, regs_[insn.rd] = static_cast<uint32_t>(insn.imm) << 10;)            \
-  X(kLdw, TL_LOAD_BODY(4))                                                    \
-  X(kLdb, TL_LOAD_BODY(1))                                                    \
-  X(kStw, TL_STORE_BODY(4))                                                   \
-  X(kStb, TL_STORE_BODY(1))                                                   \
-  X(kBeq, TL_BRANCH_BODY(a == b))                                             \
-  X(kBne, TL_BRANCH_BODY(a != b))                                             \
-  X(kBlt, TL_BRANCH_BODY(static_cast<int32_t>(a) < static_cast<int32_t>(b)))  \
-  X(kBge, TL_BRANCH_BODY(static_cast<int32_t>(a) >= static_cast<int32_t>(b))) \
-  X(kBltu, TL_BRANCH_BODY(a < b))                                             \
-  X(kBgeu, TL_BRANCH_BODY(a >= b))                                            \
-  X(kJmp, ip_ += static_cast<uint32_t>(insn.imm); out.control_transfer = true; \
-    out.cycles = c.control_taken;)                                            \
-  X(kJal, regs_[kRegLr] = ip_ + 4; ip_ += static_cast<uint32_t>(insn.imm);    \
-    out.control_transfer = true; out.cycles = c.control_taken;)               \
-  X(kJr, ip_ = rs1(); out.control_transfer = true;                            \
-    out.cycles = c.control_taken;)                                            \
-  X(kJalr, const uint32_t target = rs1(); regs_[kRegLr] = ip_ + 4;            \
-    ip_ = target; out.control_transfer = true; out.cycles = c.control_taken;) \
-  X(kSwi,                                                                     \
-    out.fault_class = kExcSwiBase + (static_cast<uint32_t>(insn.imm) & 7);)   \
-  X(kIret,                                                                    \
-    uint32_t new_ip = 0;                                                      \
-    uint32_t new_flags = 0;                                                   \
-    const uint32_t sp = regs_[kRegSp];                                        \
-    const AccessContext ctx = DataContext(AccessKind::kRead);                 \
-    AccessResult r = bus_->Read(ctx, sp, 4, &new_ip);                         \
-    if (r == AccessResult::kOk) {                                             \
-      r = bus_->Read(ctx, sp + 4, 4, &new_flags);                             \
-    }                                                                         \
-    if (r != AccessResult::kOk) {                                             \
-      out.fault_class = ExcClassOf(r);                                        \
-      out.fault_addr = sp;                                                    \
-    } else {                                                                  \
-      regs_[kRegSp] = sp + 8;                                                 \
-      ip_ = new_ip;                                                           \
-      flags_ = new_flags;                                                     \
-      out.control_transfer = true;                                            \
-      out.cycles = c.iret;                                                    \
-    })                                                                        \
-  X(kCli, flags_ &= ~kFlagIf;)                                                \
-  X(kSti, flags_ |= kFlagIf;)                                                 \
-  X(kProtect, TL_SANCUS_BODY)                                                 \
-  X(kUnprotect, TL_SANCUS_BODY)                                               \
-  X(kAttest, TL_SANCUS_BODY)
-
 Cpu::Cpu(Bus* bus, SysCtl* sysctl, const CpuConfig& config)
     : bus_(bus), sysctl_(sysctl), config_(config) {
   assert(bus_ != nullptr);
   assert(sysctl_ != nullptr);
   decode_cache_.resize(kDecodeCacheSize);
   fusion_cache_.resize(kFusionCacheSize);
-  data_window_enabled_ = config_.fast_dispatch;
+  data_window_enabled_ = config_.decode_cache;
 }
 
 void Cpu::AddIrqSource(Device* device) {
@@ -542,20 +384,155 @@ bool Cpu::EnterException(uint32_t exception_class, uint32_t handler,
 }
 
 Cpu::ExecOutcome Cpu::Execute(const Instruction& insn) {
+  const CycleModel& c = config_.cycles;
   ExecOutcome out;
-  out.cycles = config_.cycles.alu;
-  const auto& c = config_.cycles;
+  out.cycles = c.alu;
+  uint32_t& rd = regs_[insn.rd];
+  const uint32_t rs1 = regs_[insn.rs1];
+  const uint32_t rs2 = regs_[insn.rs2];
+  const uint32_t imm = static_cast<uint32_t>(insn.imm);
 
-  auto rs1 = [&]() { return regs_[insn.rs1]; };
-  auto rs2 = [&]() { return regs_[insn.rs2]; };
+  const auto branch = [&](bool taken) {
+    if (taken) {
+      ip_ += imm;
+      out.control_transfer = true;
+      out.cycles = c.control_taken;
+    } else {
+      out.cycles = c.control_not_taken;
+    }
+  };
+  const auto jump = [&](uint32_t target) {
+    ip_ = target;
+    out.control_transfer = true;
+    out.cycles = c.control_taken;
+  };
+  const auto fault = [&](uint32_t exception_class, uint32_t addr) {
+    out.fault_class = exception_class;
+    out.fault_addr = addr;
+  };
+  // Loads and stores go through the resolved data window when it covers
+  // the access, and through the bus (then try to build a window) otherwise.
+  const auto load = [&](uint32_t width) {
+    const uint32_t addr = rs1 + imm;
+    if ((width == 1 || (addr & 3) == 0) &&
+        WindowCovers(read_window_, addr, width)) {
+      ++stats_.data_window_hits;
+      const uint8_t* p = read_window_.ro + (addr - read_window_.lo);
+      rd = width == 4 ? LoadWordLe(p) : p[0];
+      out.cycles = c.memory + read_window_.wait_states;
+      return;
+    }
+    uint32_t value = 0;
+    uint32_t wait = 0;
+    const AccessResult r =
+        bus_->Read(DataContext(AccessKind::kRead), addr, width, &value, &wait);
+    if (r != AccessResult::kOk) {
+      fault(ExcClassOf(r), addr);
+      return;
+    }
+    rd = value;
+    out.cycles = c.memory + wait;
+    if (data_window_enabled_) {
+      TryBuildDataWindow(/*is_write=*/false, addr);
+    }
+  };
+  const auto store = [&](uint32_t width) {
+    const uint32_t addr = rs1 + imm;
+    if ((width == 1 || (addr & 3) == 0) &&
+        WindowCovers(write_window_, addr, width)) {
+      ++stats_.data_window_hits;
+      uint8_t* p = write_window_.rw + (addr - write_window_.lo);
+      if (width == 4) {
+        StoreWordLe(p, rd);
+      } else {
+        p[0] = static_cast<uint8_t>(rd);
+      }
+      // The store bypassed Bus::Write: bump the memory generation so the
+      // decode and fusion caches revalidate, exactly as a bus store would.
+      bus_->NoteHostMutation();
+      out.cycles = c.memory + write_window_.wait_states;
+      return;
+    }
+    uint32_t wait = 0;
+    const AccessResult r = bus_->Write(DataContext(AccessKind::kWrite), addr,
+                                       width, rd, &wait);
+    if (r != AccessResult::kOk) {
+      fault(ExcClassOf(r), addr);
+      return;
+    }
+    out.cycles = c.memory + wait;
+    if (data_window_enabled_) {
+      TryBuildDataWindow(/*is_write=*/true, addr);
+    }
+  };
 
   switch (insn.opcode) {
-#define TL_CASE(name, ...) \
-  case Opcode::name: {     \
-    __VA_ARGS__            \
-  } break;
-    TL_SEMANTICS(TL_CASE)
-#undef TL_CASE
+    case Opcode::kNop: break;
+    case Opcode::kHalt: out.halted = true; break;
+    case Opcode::kAdd: rd = rs1 + rs2; break;
+    case Opcode::kSub: rd = rs1 - rs2; break;
+    case Opcode::kAnd: rd = rs1 & rs2; break;
+    case Opcode::kOr: rd = rs1 | rs2; break;
+    case Opcode::kXor: rd = rs1 ^ rs2; break;
+    case Opcode::kShl: rd = rs1 << (rs2 & 31); break;
+    case Opcode::kShr: rd = rs1 >> (rs2 & 31); break;
+    case Opcode::kSra: rd = ShiftRightArith(rs1, rs2); break;
+    case Opcode::kMul: rd = rs1 * rs2; out.cycles = c.mul; break;
+    case Opcode::kSltu: rd = rs1 < rs2 ? 1 : 0; break;
+    case Opcode::kSlt: rd = Signed(rs1) < Signed(rs2) ? 1 : 0; break;
+    case Opcode::kAddi: rd = rs1 + imm; break;
+    case Opcode::kAndi: rd = rs1 & imm; break;
+    case Opcode::kOri: rd = rs1 | imm; break;
+    case Opcode::kXori: rd = rs1 ^ imm; break;
+    case Opcode::kShli: rd = rs1 << (imm & 31); break;
+    case Opcode::kShri: rd = rs1 >> (imm & 31); break;
+    case Opcode::kSrai: rd = ShiftRightArith(rs1, imm); break;
+    case Opcode::kMovi: rd = imm; break;
+    case Opcode::kLui: rd = imm << 10; break;
+    case Opcode::kLdw: load(4); break;
+    case Opcode::kLdb: load(1); break;
+    case Opcode::kStw: store(4); break;
+    case Opcode::kStb: store(1); break;
+    // B-type compares rd against rs1.
+    case Opcode::kBeq: branch(rd == rs1); break;
+    case Opcode::kBne: branch(rd != rs1); break;
+    case Opcode::kBlt: branch(Signed(rd) < Signed(rs1)); break;
+    case Opcode::kBge: branch(Signed(rd) >= Signed(rs1)); break;
+    case Opcode::kBltu: branch(rd < rs1); break;
+    case Opcode::kBgeu: branch(rd >= rs1); break;
+    case Opcode::kJmp: jump(ip_ + imm); break;
+    case Opcode::kJal: regs_[kRegLr] = ip_ + 4; jump(ip_ + imm); break;
+    case Opcode::kJr: jump(rs1); break;
+    case Opcode::kJalr: regs_[kRegLr] = ip_ + 4; jump(rs1); break;
+    case Opcode::kSwi: out.fault_class = kExcSwiBase + (imm & 7); break;
+    case Opcode::kIret: {
+      uint32_t new_ip = 0;
+      uint32_t new_flags = 0;
+      const uint32_t sp = regs_[kRegSp];
+      const AccessContext ctx = DataContext(AccessKind::kRead);
+      AccessResult r = bus_->Read(ctx, sp, 4, &new_ip);
+      if (r == AccessResult::kOk) {
+        r = bus_->Read(ctx, sp + 4, 4, &new_flags);
+      }
+      if (r != AccessResult::kOk) {
+        fault(ExcClassOf(r), sp);
+        break;
+      }
+      regs_[kRegSp] = sp + 8;
+      flags_ = new_flags;
+      jump(new_ip);
+      out.cycles = c.iret;
+      break;
+    }
+    case Opcode::kCli: flags_ &= ~kFlagIf; break;
+    case Opcode::kSti: flags_ |= kFlagIf; break;
+    case Opcode::kProtect:
+    case Opcode::kUnprotect:
+    case Opcode::kAttest:
+      if (!(sancus_hook_ && sancus_hook_(insn, this))) {
+        fault(kExcIllegal, ip_);
+      }
+      break;
   }
   return out;
 }
@@ -610,16 +587,70 @@ StepEvent Cpu::TakeFetchFault(uint32_t exception_class,
   return halted_ ? StepEvent::kHalted : StepEvent::kException;
 }
 
-StepEvent Cpu::TakeIllegal(uint64_t cycles_before) {
-  const uint32_t handler =
-      sysctl_->HandlerFor(ExceptionClass::kIllegalInstruction);
-  EnterException(kExcIllegal, handler, ip_, ip_, ip_);
-  bus_->TickDevices(cycles_ - cycles_before);
-  return halted_ ? StepEvent::kHalted : StepEvent::kException;
+const Instruction* Cpu::FetchDecode(uint64_t cycles_before, uint32_t* word,
+                                    StepEvent* event) {
+  // Interrupt recognition happens between instructions.
+  if ((flags_ & kFlagIf) != 0 && RecognizeIrq(event, cycles_before)) {
+    return nullptr;
+  }
+
+  // A misaligned IP faults before anything else — in particular before the
+  // decode-cache lookup, whose index drops the low two bits: without this
+  // latch a 4-unaligned IP would alias the entry of a different aligned
+  // address. (The bus rejects misaligned word reads too; this makes the
+  // ordering explicit and independent of the bus.)
+  if ((ip_ & 3u) != 0) {
+    *event = TakeFetchFault(kExcAlign, cycles_before);
+    return nullptr;
+  }
+
+  // Fetch. The access subject is the instruction that transferred control
+  // here (prev_ip_), not the target itself — this is the execution-aware
+  // check that confines cross-region entry to entry vectors.
+  AccessContext fetch_ctx;
+  fetch_ctx.curr_ip = prev_ip_;
+  fetch_ctx.kind = AccessKind::kFetch;
+  fetch_ctx.privileged = (flags_ & kFlagUser) == 0;
+  const AccessResult fetch = bus_->Read(fetch_ctx, ip_, 4, word);
+  if (fetch != AccessResult::kOk) {
+    *event = TakeFetchFault(ExcClassOf(fetch), cycles_before);
+    return nullptr;
+  }
+
+  // Decode, via the direct-mapped decode cache. The fetched word is always
+  // compared against the cached one, so a store that rewrote this address
+  // (self-modifying code, loader) can never replay a stale decode; the
+  // generation check additionally re-stamps entries after memory writes.
+  const uint64_t mem_gen = bus_->memory_generation();
+  DecodeEntry& cached = decode_cache_[(ip_ >> 2) & (kDecodeCacheSize - 1)];
+  if (config_.decode_cache && cached.valid && cached.addr == ip_ &&
+      cached.word == *word) {
+    cached.generation = mem_gen;  // Revalidated against the fresh word.
+    ++stats_.decode_hits;
+    return &cached.insn;
+  }
+  ++stats_.decode_misses;
+  const std::optional<Instruction> decoded = Decode(*word);
+  if (!decoded.has_value()) {
+    // Undecodable word: the subject is the instruction itself.
+    const uint32_t handler =
+        sysctl_->HandlerFor(ExceptionClass::kIllegalInstruction);
+    EnterException(kExcIllegal, handler, ip_, ip_, ip_);
+    bus_->TickDevices(cycles_ - cycles_before);
+    *event = halted_ ? StepEvent::kHalted : StepEvent::kException;
+    return nullptr;
+  }
+  cached = DecodeEntry{ip_, *word, mem_gen, true, *decoded};
+  return &cached.insn;
 }
 
-StepEvent Cpu::FinishExecute(const ExecOutcome& out, uint32_t insn_addr,
-                             uint32_t word, uint64_t cycles_before) {
+StepEvent Cpu::ExecuteOne(const Instruction& insn, uint32_t word,
+                          uint64_t cycles_before) {
+  const uint32_t insn_addr = ip_;
+  if (trace_hook_) {
+    trace_hook_(insn_addr, insn);
+  }
+  const ExecOutcome out = Execute(insn);
   cycles_ += out.cycles;
   prev_ip_ = insn_addr;
 
@@ -677,83 +708,65 @@ StepEvent Cpu::FinishExecute(const ExecOutcome& out, uint32_t insn_addr,
 }
 
 StepEvent Cpu::Step() {
-  const StepEvent event = StepOnce();
+  StepEvent event = StepEvent::kHalted;
+  if (!halted_) {
+    const uint64_t cycles_before = cycles_;
+    uint32_t word = 0;
+    if (const Instruction* insn = FetchDecode(cycles_before, &word, &event)) {
+      event = ExecuteOne(*insn, word, cycles_before);
+    }
+  }
   // Single-stepping hands control back to a caller who may inspect devices
   // directly; deferred ticks must not be visible across the boundary.
   bus_->FlushTicks();
   return event;
 }
 
-StepEvent Cpu::StepOnce() {
-  if (halted_) {
-    return StepEvent::kHalted;
+Cpu::FusionEntry* Cpu::FusionGroupFor(const Instruction& head, uint32_t word) {
+  // Suppressed while a consumer wants per-fetch MpuCheckEvents (tail fetch
+  // checks are precomputed, so the per-check event stream would
+  // under-report).
+  if (!config_.fusion || !config_.decode_cache || fusion_suppressed_) {
+    return nullptr;
   }
-  const uint64_t cycles_before = cycles_;
-
-  // Interrupt recognition happens between instructions.
-  if ((flags_ & kFlagIf) != 0) {
-    StepEvent event = StepEvent::kExecuted;
-    if (RecognizeIrq(&event, cycles_before)) {
-      return event;
-    }
-  }
-
-  // A misaligned IP faults before anything else — in particular before the
-  // decode-cache lookup, whose index drops the low two bits: without this
-  // latch a 4-unaligned IP would alias the entry of a different aligned
-  // address. (The bus rejects misaligned word reads too; this makes the
-  // ordering explicit and independent of the bus.)
-  if ((ip_ & 3u) != 0) {
-    return TakeFetchFault(kExcAlign, cycles_before);
-  }
-
-  // Fetch. The access subject is the instruction that transferred control
-  // here (prev_ip_), not the target itself — this is the execution-aware
-  // check that confines cross-region entry to entry vectors.
-  AccessContext fetch_ctx;
-  fetch_ctx.curr_ip = prev_ip_;
-  fetch_ctx.kind = AccessKind::kFetch;
-  fetch_ctx.privileged = (flags_ & kFlagUser) == 0;
-  uint32_t word = 0;
-  const AccessResult fetch = bus_->Read(fetch_ctx, ip_, 4, &word);
-  if (fetch != AccessResult::kOk) {
-    return TakeFetchFault(ExcClassOf(fetch), cycles_before);
-  }
-
-  // Decode, via the direct-mapped decode cache. The fetched word is always
-  // compared against the cached one, so a store that rewrote this address
-  // (self-modifying code, loader) can never replay a stale decode; the
-  // generation check additionally re-stamps entries after memory writes.
   const uint64_t mem_gen = bus_->memory_generation();
-  DecodeEntry& cached = decode_cache_[(ip_ >> 2) & (kDecodeCacheSize - 1)];
-  const Instruction* insn = nullptr;
-  if (config_.decode_cache && cached.valid && cached.addr == ip_ &&
-      cached.word == word) {
-    cached.generation = mem_gen;  // Revalidated against the fresh word.
-    ++stats_.decode_hits;
-    insn = &cached.insn;
-  } else {
-    ++stats_.decode_misses;
-    const std::optional<Instruction> decoded = Decode(word);
-    if (!decoded.has_value()) {
-      return TakeIllegal(cycles_before);
+  FusionEntry& fe = fusion_cache_[(ip_ >> 2) & (kFusionCacheSize - 1)];
+  if (!(fe.valid && fe.head_addr == ip_ && fe.ops[0].word == word &&
+        fe.user_mode == ((flags_ & kFlagUser) != 0) &&
+        fe.mpu_generation == CurrentMpuGeneration() &&
+        fe.topology_generation == bus_->topology_generation())) {
+    if (fe.valid) {
+      ++stats_.fusion_invalidations;
     }
-    cached = DecodeEntry{ip_, word, mem_gen, true, *decoded};
-    insn = &cached.insn;
+    BuildFusionGroup(fe, ip_, word, head, mem_gen);
+    return fe.count >= 2 ? &fe : nullptr;
   }
-
-  const uint32_t insn_addr = ip_;
-  if (trace_hook_) {
-    trace_hook_(insn_addr, *insn);
+  // count == 1 is a tombstone: the head is not fusable under the current
+  // word/MPU configuration — single dispatch.
+  if (fe.count < 2) {
+    return nullptr;
   }
-  return FinishExecute(Execute(*insn), insn_addr, word, cycles_before);
+  // Re-compare the tail words through their stable host backing on every
+  // dispatch (the head's word is the fresh fetch). Like the decode cache's
+  // always-compare rule, this stays exact even for out-of-band host
+  // mutations that never bumped the bus memory generation (Ram::LoadBytes
+  // program reloads in tests/tools).
+  for (int i = 1; i < fe.count; ++i) {
+    if (LoadWordLe(fe.ops[i].backing) != fe.ops[i].word) {
+      ++stats_.fusion_invalidations;
+      fe.valid = false;
+      return nullptr;
+    }
+  }
+  fe.mem_generation = mem_gen;
+  return &fe;
 }
 
 StepEvent Cpu::RunLoop(uint64_t max_instructions, uint64_t target_cycle,
                        bool cycle_bound) {
   const uint64_t start = stats_.instructions;
   // Exception storms do not retire instructions (and zero-cost storms do not
-  // advance the clock); bound them separately, exactly like the Step loops.
+  // advance the clock); bound them separately.
   const uint64_t budget =
       cycle_bound ? (target_cycle > cycles_ ? target_cycle - cycles_ : 0)
                   : max_instructions;
@@ -765,203 +778,21 @@ StepEvent Cpu::RunLoop(uint64_t max_instructions, uint64_t target_cycle,
          (cycle_bound ? cycles_ < target_cycle
                       : stats_.instructions - start < max_instructions)) {
     const uint64_t cycles_before = cycles_;
-
-    // Interrupt recognition happens between instructions.
-    if ((flags_ & kFlagIf) != 0) {
-      StepEvent irq_event = StepEvent::kExecuted;
-      if (RecognizeIrq(&irq_event, cycles_before)) {
-        event = irq_event;
-        if (event == StepEvent::kHalted) {
-          break;
-        }
-        if (++safety > safety_limit) {
-          HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
-          return StepEvent::kHalted;
-        }
-        continue;
-      }
-    }
-
-    // Misaligned IP faults before the (index-truncating) cache lookups.
-    if ((ip_ & 3u) != 0) {
-      event = TakeFetchFault(kExcAlign, cycles_before);
-      if (event == StepEvent::kHalted) {
-        break;
-      }
-      if (++safety > safety_limit) {
-        HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
-        return StepEvent::kHalted;
-      }
-      continue;
-    }
-
-    // Fetch, subject = prev_ip_ (entry-vector rule), exactly as in Step().
-    AccessContext fetch_ctx;
-    fetch_ctx.curr_ip = prev_ip_;
-    fetch_ctx.kind = AccessKind::kFetch;
-    fetch_ctx.privileged = (flags_ & kFlagUser) == 0;
     uint32_t word = 0;
-    const AccessResult fetch = bus_->Read(fetch_ctx, ip_, 4, &word);
-    if (fetch != AccessResult::kOk) {
-      event = TakeFetchFault(ExcClassOf(fetch), cycles_before);
-      if (event == StepEvent::kHalted) {
-        break;
-      }
-      if (++safety > safety_limit) {
-        HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
-        return StepEvent::kHalted;
-      }
-      continue;
-    }
-
-    const uint64_t mem_gen = bus_->memory_generation();
-    DecodeEntry& cached = decode_cache_[(ip_ >> 2) & (kDecodeCacheSize - 1)];
-    const Instruction* insn_ptr = nullptr;
-    if (config_.decode_cache && cached.valid && cached.addr == ip_ &&
-        cached.word == word) {
-      cached.generation = mem_gen;  // Revalidated against the fresh word.
-      ++stats_.decode_hits;
-      insn_ptr = &cached.insn;
+    const Instruction* insn = FetchDecode(cycles_before, &word, &event);
+    if (insn == nullptr) {
+      ++safety;
+    } else if (FusionEntry* group = FusionGroupFor(*insn, word)) {
+      event = ExecuteFusedGroup(*group, max_instructions, target_cycle,
+                                cycle_bound, start, &safety);
     } else {
-      ++stats_.decode_misses;
-      const std::optional<Instruction> decoded = Decode(word);
-      if (!decoded.has_value()) {
-        event = TakeIllegal(cycles_before);
-        if (event == StepEvent::kHalted) {
-          break;
-        }
-        if (++safety > safety_limit) {
-          HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
-          return StepEvent::kHalted;
-        }
-        continue;
-      }
-      cached = DecodeEntry{ip_, word, mem_gen, true, *decoded};
-      insn_ptr = &cached.insn;
+      event = ExecuteOne(*insn, word, cycles_before);
+      ++safety;
     }
-
-    // Superinstruction fusion: execute a validated straight-line group from
-    // one cache entry. Suppressed while a consumer wants per-fetch
-    // MpuCheckEvents (tail fetch checks are precomputed, so the per-check
-    // event stream would under-report).
-    if (config_.fusion && config_.decode_cache && !fusion_suppressed_) {
-      FusionEntry& fe = fusion_cache_[(ip_ >> 2) & (kFusionCacheSize - 1)];
-      const bool user_now = (flags_ & kFlagUser) != 0;
-      bool run_group = false;
-      if (fe.valid && fe.head_addr == ip_ && fe.ops[0].word == word &&
-          fe.user_mode == user_now &&
-          fe.mpu_generation == CurrentMpuGeneration() &&
-          fe.topology_generation == bus_->topology_generation()) {
-        if (fe.count >= 2) {
-          // Re-compare the tail words through their stable host backing on
-          // every dispatch (the head's word is the fresh fetch above). Like
-          // the decode cache's always-compare rule, this stays exact even
-          // for out-of-band host mutations that never bumped the bus memory
-          // generation (Ram::LoadBytes program reloads in tests/tools).
-          bool intact = true;
-          for (int i = 1; i < fe.count; ++i) {
-            if (LoadWordLe(fe.ops[i].backing) != fe.ops[i].word) {
-              intact = false;
-              break;
-            }
-          }
-          if (intact) {
-            fe.mem_generation = mem_gen;
-            run_group = true;
-          } else {
-            ++stats_.fusion_invalidations;
-            fe.valid = false;
-          }
-        }
-        // count == 1 is a tombstone: the head is not fusable under the
-        // current word/MPU configuration — fall through to single dispatch.
-      } else {
-        if (fe.valid) {
-          ++stats_.fusion_invalidations;
-        }
-        BuildFusionGroup(fe, ip_, word, *insn_ptr, mem_gen);
-        run_group = fe.count >= 2;
-      }
-      if (run_group) {
-        event = ExecuteFusedGroup(fe, max_instructions, target_cycle,
-                                  cycle_bound, start, &safety);
-        if (event == StepEvent::kHalted) {
-          break;
-        }
-        if (safety > safety_limit) {
-          HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
-          return StepEvent::kHalted;
-        }
-        continue;
-      }
-    }
-
-    // Single-instruction dispatch.
-    const uint32_t insn_addr = ip_;
-    if (trace_hook_) {
-      trace_hook_(insn_addr, *insn_ptr);
-    }
-#if TRUSTLITE_COMPUTED_GOTO
-    {
-      // Token-threaded dispatch: one indirect jump straight into the opcode
-      // body, no switch bounds check, and the table lives in one function so
-      // the branch predictor sees per-opcode jump sites. The bodies are the
-      // same TL_SEMANTICS expansion the portable switch uses.
-      static const void* const kOps[64] = {
-          &&op_kNop,       &&op_kHalt,  &&op_kAdd,  &&op_kSub,  &&op_kAnd,
-          &&op_kOr,        &&op_kXor,   &&op_kShl,  &&op_kShr,  &&op_kSra,
-          &&op_kMul,       &&op_kSltu,  &&op_kSlt,  &&op_kAddi, &&op_kAndi,
-          &&op_kOri,       &&op_kXori,  &&op_kShli, &&op_kShri, &&op_kSrai,
-          &&op_kMovi,      &&op_kLui,   &&op_kLdw,  &&op_kLdb,  &&op_kStw,
-          &&op_kStb,       &&op_kBeq,   &&op_kBne,  &&op_kBlt,  &&op_kBge,
-          &&op_kBltu,      &&op_kBgeu,  &&op_kJmp,  &&op_kJal,  &&op_kJr,
-          &&op_kJalr,      &&op_kSwi,   &&op_kIret, &&op_kCli,  &&op_kSti,
-          &&op_bad,        &&op_bad,    &&op_bad,   &&op_bad,   &&op_bad,
-          &&op_bad,        &&op_bad,    &&op_bad,   &&op_kProtect,
-          &&op_kUnprotect, &&op_kAttest,
-          &&op_bad,        &&op_bad,    &&op_bad,   &&op_bad,   &&op_bad,
-          &&op_bad,        &&op_bad,    &&op_bad,   &&op_bad,   &&op_bad,
-          &&op_bad,        &&op_bad,    &&op_bad,
-      };
-      static_assert(static_cast<int>(Opcode::kSti) == 39,
-                    "dispatch table layout");
-      static_assert(static_cast<int>(Opcode::kProtect) == 48,
-                    "dispatch table layout");
-      static_assert(static_cast<int>(Opcode::kAttest) == 50,
-                    "dispatch table layout");
-
-      ExecOutcome out;
-      out.cycles = config_.cycles.alu;
-      const Instruction& insn = *insn_ptr;
-      const auto& c = config_.cycles;
-      auto rs1 = [&]() { return regs_[insn.rs1]; };
-      auto rs2 = [&]() { return regs_[insn.rs2]; };
-      goto* kOps[static_cast<uint8_t>(insn.opcode)];
-
-#define TL_GOTO_TARGET(name, ...) \
-  op_##name : {                   \
-    __VA_ARGS__                   \
-  }                               \
-  goto tl_retire;
-      TL_SEMANTICS(TL_GOTO_TARGET)
-#undef TL_GOTO_TARGET
-
-    op_bad:
-      // Decode() never produces these opcodes; kept as a hard backstop so a
-      // decoder bug cannot jump through a wild pointer.
-      out.fault_class = kExcIllegal;
-      out.fault_addr = ip_;
-
-    tl_retire:
-      event = FinishExecute(out, insn_addr, word, cycles_before);
-    }
-#else
-    event = FinishExecute(Execute(*insn_ptr), insn_addr, word, cycles_before);
-#endif
     if (event == StepEvent::kHalted) {
       break;
     }
-    if (++safety > safety_limit) {
+    if (safety > safety_limit) {
       HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
       return StepEvent::kHalted;
     }
@@ -1141,17 +972,14 @@ StepEvent Cpu::ExecuteFusedGroup(FusionEntry& entry, uint64_t max_instructions,
       }
     }
     const FusedOp& op = entry.ops[i];
-    const uint64_t cycles_before = cycles_;
     if (i > 0) {
       // A validated tail constituent executes from its cached decode — the
       // same reuse the decode cache counts as a hit in the Step path.
       ++stats_.decode_hits;
     }
-    if (trace_hook_) {
-      trace_hook_(op.addr, op.insn);
-    }
-    const ExecOutcome out = Execute(op.insn);
-    event = FinishExecute(out, op.addr, op.word, cycles_before);
+    // ip_ == op.addr here: the head was matched against ip_ and every tail
+    // constituent was checked above.
+    event = ExecuteOne(op.insn, op.word, cycles_);
     ++*safety;
     if (event != StepEvent::kExecuted) {
       break;
@@ -1162,50 +990,14 @@ StepEvent Cpu::ExecuteFusedGroup(FusionEntry& entry, uint64_t max_instructions,
 }
 
 StepEvent Cpu::Run(uint64_t max_instructions) {
-  if (config_.fast_dispatch) {
-    const StepEvent event = RunLoop(max_instructions, 0, false);
-    bus_->FlushTicks();  // Callers observe device state after a run.
-    return event;
-  }
-  const uint64_t start = stats_.instructions;
-  uint64_t safety = 0;
-  StepEvent event = StepEvent::kExecuted;
-  while (!halted_ && stats_.instructions - start < max_instructions) {
-    event = Step();
-    if (event == StepEvent::kHalted) {
-      break;
-    }
-    // Exception storms do not retire instructions; bound them separately.
-    if (++safety > max_instructions * 8 + 1024) {
-      HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
-      return StepEvent::kHalted;
-    }
-  }
+  const StepEvent event = RunLoop(max_instructions, 0, false);
+  bus_->FlushTicks();  // Callers observe device state after a run.
   return event;
 }
 
 StepEvent Cpu::RunUntilCycle(uint64_t target_cycle) {
-  if (config_.fast_dispatch) {
-    const StepEvent event = RunLoop(0, target_cycle, true);
-    bus_->FlushTicks();  // Callers observe device state after a run.
-    return event;
-  }
-  StepEvent event = StepEvent::kExecuted;
-  uint64_t safety = 0;
-  const uint64_t budget =
-      target_cycle > cycles_ ? target_cycle - cycles_ : 0;
-  while (!halted_ && cycles_ < target_cycle) {
-    event = Step();
-    if (event == StepEvent::kHalted) {
-      break;
-    }
-    // Every architectural step costs at least one cycle; bound pathological
-    // zero-cost storms the same way Run() bounds exception storms.
-    if (++safety > budget * 8 + 1024) {
-      HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
-      return StepEvent::kHalted;
-    }
-  }
+  const StepEvent event = RunLoop(0, target_cycle, true);
+  bus_->FlushTicks();  // Callers observe device state after a run.
   return event;
 }
 

@@ -106,18 +106,14 @@ struct CpuConfig {
   // trustlets can be sanitized to always point to the trustlet's entry
   // vector").
   bool sanitize_faulting_ip = false;
-  // Host-side switch for the decoded-instruction cache (differential
-  // harness). Guest-visible behavior must be identical either way.
+  // Host-side switch for the decoded-instruction cache and the data-access
+  // windows (differential harness). Guest-visible behavior must be
+  // identical either way.
   bool decode_cache = true;
-  // Host-side switch for the threaded-dispatch run loop: Run()/
-  // RunUntilCycle() execute through Cpu::RunLoop (token-threaded dispatch,
-  // superinstruction fusion) instead of repeated Step() calls. Step() itself
-  // always takes the plain path, so the differential harness's lockstep
-  // reference is untouched. Guest-visible behavior must be identical.
-  bool fast_dispatch = true;
   // Host-side switch for superinstruction fusion over the decode cache
   // (pairs-and-quads of straight-line instructions retired from one fused
-  // entry). Only effective inside RunLoop with the decode cache on.
+  // entry). Only effective inside Run()/RunUntilCycle() with the decode
+  // cache on; Step() always dispatches one instruction.
   bool fusion = true;
   CycleModel cycles;
 };
@@ -197,7 +193,7 @@ class Cpu {
   // Wired by Platform::RewireEventSinks.
   void SetFusionSuppressed(bool suppressed) {
     fusion_suppressed_ = suppressed;
-    data_window_enabled_ = config_.fast_dispatch && !suppressed;
+    data_window_enabled_ = config_.decode_cache && !suppressed;
     if (suppressed) {
       read_window_ = DataWindow{};
       write_window_ = DataWindow{};
@@ -282,9 +278,12 @@ class Cpu {
   ExecOutcome Execute(const Instruction& insn);
 
   // --- Shared step machinery (used by Step() and RunLoop()) ---
-  // Step() minus the lazy-tick flush: the public wrapper flushes deferred
-  // device ticks so external single-steppers always observe eager state.
-  StepEvent StepOnce();
+  // Interrupt recognition, alignment check, fetch and decode-cache lookup.
+  // Returns the instruction at ip_ (its raw word in *word), or nullptr when
+  // the step was consumed by an interrupt or exception entry, with *event
+  // set.
+  const Instruction* FetchDecode(uint64_t cycles_before, uint32_t* word,
+                                 StepEvent* event);
   // Interrupt recognition after the kFlagIf gate: returns true when the
   // step was consumed (guard reset or exception entry), with *event set;
   // false for no-pending and for the spurious ack-and-drop case.
@@ -292,15 +291,14 @@ class Cpu {
   // Fetch-side fault entry (misaligned IP, fetch MPU/bus fault). The
   // interrupted subject is prev_ip_ (the jumper), per the entry-vector rule.
   StepEvent TakeFetchFault(uint32_t exception_class, uint64_t cycles_before);
-  // Undecodable word at ip_ (the subject is the instruction itself).
-  StepEvent TakeIllegal(uint64_t cycles_before);
-  // Everything after Execute(): cycle/prev_ip bookkeeping, fault dispatch,
-  // retire accounting, events, IP advance, device ticks.
-  StepEvent FinishExecute(const ExecOutcome& out, uint32_t insn_addr,
-                          uint32_t word, uint64_t cycles_before);
+  // Executes the instruction at ip_, then does the cycle/prev_ip
+  // bookkeeping, fault dispatch, retire accounting, events, IP advance and
+  // device ticks.
+  StepEvent ExecuteOne(const Instruction& insn, uint32_t word,
+                       uint64_t cycles_before);
 
-  // Threaded-dispatch interpreter loop backing Run()/RunUntilCycle() when
-  // config_.fast_dispatch is set. `cycle_bound` selects the RunUntilCycle
+  // Interpreter loop behind Run()/RunUntilCycle(): FetchDecode, then a
+  // fused group or ExecuteOne. `cycle_bound` selects the RunUntilCycle
   // contract (no instruction starts at or after target_cycle) over the
   // retired-instruction budget. Guest-visible behavior is identical to the
   // equivalent Step() loop; verified by the differential harness.
@@ -373,6 +371,10 @@ class Cpu {
   };
   static constexpr uint32_t kFusionCacheSize = 512;  // Power of two.
 
+  // The validated fused group headed by the instruction at ip_ (fetched
+  // as `word`, decoded as `head`), building or revalidating its entry; null
+  // when fusion is off, the head is tombstoned or a tail word changed.
+  FusionEntry* FusionGroupFor(const Instruction& head, uint32_t word);
   // Builds (or tombstones) the fusion entry for the instruction at
   // `head_ip`, already fetched as `head_word` and decoded as `head`.
   void BuildFusionGroup(FusionEntry& entry, uint32_t head_ip,
@@ -381,7 +383,7 @@ class Cpu {
   // Executes a validated group; retires constituents until the group ends
   // or an architectural event (fault, IRQ window, budget/cycle bound,
   // invalidation) stops it. Returns the last per-instruction event and
-  // bumps *safety once per constituent (matching the Step-loop watchdog).
+  // bumps *safety once per constituent, as RunLoop does per instruction.
   StepEvent ExecuteFusedGroup(FusionEntry& entry, uint64_t max_instructions,
                               uint64_t target_cycle, bool cycle_bound,
                               uint64_t start_instructions, uint64_t* safety);

@@ -54,11 +54,9 @@ std::optional<Divergence> CompareRam(uint64_t step, const char* name,
 }  // namespace
 
 DifferentialExecutor::DifferentialExecutor(const PlatformConfig& config) {
-  PlatformConfig fast_config = config;
-  fast_config.fast_path = true;
   PlatformConfig ref_config = config;
   ref_config.fast_path = false;
-  fast_ = std::make_unique<Platform>(fast_config);
+  fast_ = std::make_unique<Platform>(config);
   ref_ = std::make_unique<Platform>(ref_config);
 }
 

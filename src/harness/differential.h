@@ -2,10 +2,10 @@
 //
 // Differential-execution harness (DESIGN.md Sec. 11): runs the same guest
 // program on two Platform instances — one with the simulator fast path
-// (decode cache, EA-MPU decision caches, bus route memo) enabled and one
-// with every cache force-disabled — and diffs the architectural state in
-// lockstep. Any divergence is, by construction, a fast-path bug: the caches
-// are pure memoization and must be invisible to the guest.
+// (decode cache, EA-MPU decision caches, bus route memo) enabled by default
+// and one with every cache force-disabled — and diffs the architectural
+// state in lockstep. Any divergence is, by construction, a fast-path bug:
+// the caches are pure memoization and must be invisible to the guest.
 //
 // Compared per step: the step event, IP, FLAGS, the full register file,
 // halt state and the cycle counter. Compared at end of run: every memory
@@ -35,8 +35,10 @@ struct Divergence {
 
 class DifferentialExecutor {
  public:
-  // Both platforms are built from `config` except for `fast_path`, which is
-  // forced on for one and off for the other.
+  // The "fast" platform is built from `config` as given (fast path on by
+  // default); the reference is the same config with `fast_path` forced off.
+  // A caller may turn the fast side's caches off too, to check Cpu::Run
+  // itself against the Step() reference (RunWindowed).
   explicit DifferentialExecutor(const PlatformConfig& config = {});
 
   Platform& fast() { return *fast_; }
@@ -56,12 +58,13 @@ class DifferentialExecutor {
   // own perturbations). `step` is only used for reporting.
   std::optional<Divergence> StepBoth(uint64_t step);
 
-  // Windowed lockstep: the fast platform advances through Cpu::Run — the
-  // threaded-dispatch run loop, superinstruction fusion and data-access
-  // windows all engaged, none of which Step()-based lockstep exercises —
-  // then the reference single-steps until its cycle counter catches up
-  // (cycles advance on every instruction and exception entry, unlike the
-  // retire counter, and both sides must be cycle-identical). Architectural
+  // Windowed lockstep: the fast platform advances through Cpu::Run — with
+  // the default config the run loop, superinstruction fusion and
+  // data-access windows are all engaged, none of which Step()-based
+  // lockstep exercises — then the reference single-steps until its cycle
+  // counter catches up (cycles advance on every instruction and exception
+  // entry, unlike the retire counter, and both sides must be
+  // cycle-identical). Architectural
   // state is compared at every window boundary and the full final-state
   // check runs at the end. Fused groups may retire past an instruction
   // budget mid-group, so the reference chases the fast side's actual
@@ -123,16 +126,18 @@ uint32_t BuildRandomScenario(DifferentialExecutor& diff, uint64_t seed,
                              const RandomProgramOptions& options);
 
 // Convenience: fresh executor + BuildRandomScenario + lockstep run.
-// `config` should leave `fast_path` at its default (it is overridden).
+// `config` should leave `fast_path` at its default: with it off, both
+// sides are the same uncached Step() interpreter.
 std::optional<Divergence> RunRandomProgramDiff(
     uint64_t seed, uint64_t max_steps,
     const RandomProgramOptions& options = {},
     const PlatformConfig& config = {});
 
 // Windowed variant: same scenario, but the fast platform advances through
-// the fused threaded-dispatch run loop instead of Step() (see RunWindowed).
-// This is the corpus entry point that actually exercises superinstruction
-// fusion and the data-access windows.
+// Cpu::Run's run loop instead of Step() (see RunWindowed). With the default
+// config this is the corpus entry point that actually exercises
+// superinstruction fusion and the data-access windows; with `fusion` or
+// `fast_path` off it checks the run loop without them.
 std::optional<Divergence> RunRandomProgramDiffWindowed(
     uint64_t seed, uint64_t max_steps, uint64_t window = 256,
     const RandomProgramOptions& options = {},

@@ -503,7 +503,16 @@ class Assembler {
     location_ += 4;
   }
 
-  void EmitInsn(const Instruction& insn) { EmitWord(Encode(insn)); }
+  // The sizing pass only reserves the word: forward labels still read as 0
+  // and range checks are skipped there, so the operands may not be
+  // encodable yet.
+  void EmitInsn(const Instruction& insn) {
+    if (!final_pass_) {
+      location_ += 4;
+      return;
+    }
+    EmitWord(Encode(insn));
+  }
 
   // --- Expression helpers ---------------------------------------------
 

@@ -65,7 +65,6 @@ Platform::Platform(const PlatformConfig& config) : config_(config) {
   cpu_config.secure_exceptions = config.secure_exceptions;
   cpu_config.sanitize_faulting_ip = config.sanitize_faulting_ip;
   cpu_config.decode_cache = config.fast_path;
-  cpu_config.fast_dispatch = config.fast_path;
   cpu_config.fusion = config.fast_path && config.fusion;
   cpu_config.cycles = config.cycles;
   cpu_ = std::make_unique<Cpu>(&bus_, sysctl_.get(), cpu_config);

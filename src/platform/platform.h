@@ -48,15 +48,15 @@ struct PlatformConfig {
   // Optional DMA engine (paper Sec. 6 future work; see src/dev/dma.h).
   bool with_dma = false;
   DmaEngine::Mode dma_mode = DmaEngine::Mode::kExecutionAware;
-  // Host-side simulator fast path (decode cache, EA-MPU decision caches,
-  // bus routing memo, threaded-dispatch run loop). Disabled by the
-  // differential-execution harness to pit the cached interpreter against the
-  // uncached reference; guest-visible behavior must be identical either way
-  // (DESIGN.md Sec. 10/11).
+  // Host-side simulator fast path (decode cache, data-access windows,
+  // EA-MPU decision caches, bus routing memo, lazy device ticks). Disabled
+  // by the differential-execution harness to pit the cached interpreter
+  // against the uncached reference; guest-visible behavior must be
+  // identical either way (DESIGN.md Sec. 10/11).
   bool fast_path = true;
   // Superinstruction fusion on top of the fast path (DESIGN.md §15). Split
-  // out so the dispatch-ladder benches can measure threaded dispatch alone
-  // vs dispatch + fusion; no effect when fast_path is off.
+  // out so the dispatch-ladder benches can measure dispatch alone vs
+  // dispatch + fusion; no effect when fast_path is off.
   bool fusion = true;
 };
 

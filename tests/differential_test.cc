@@ -45,10 +45,10 @@ INSTANTIATE_TEST_SUITE_P(Corpus, DifferentialCorpusTest,
                          ::testing::Range(0, static_cast<int>(kShardCount)));
 
 // Windowed corpus: the fast platform advances through Cpu::Run, so the
-// threaded-dispatch loop, superinstruction fusion and data-access windows
-// are all live — none of which the Step()-lockstep corpus above exercises.
-// The reference side stays on the plain uncached interpreter and chases the
-// fast side's retire count.
+// run loop, superinstruction fusion and data-access windows are all live —
+// none of which the Step()-lockstep corpus above exercises. The reference
+// side stays on the plain uncached interpreter and chases the fast side's
+// cycle count.
 class WindowedDifferentialCorpusTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(WindowedDifferentialCorpusTest, FusedRunLoopMatchesReference) {
@@ -70,16 +70,35 @@ INSTANTIATE_TEST_SUITE_P(Corpus, WindowedDifferentialCorpusTest,
 // Window sizes bracketing the fusion group length (1..4 constituents):
 // window=1 forces a fused group to start on every Run() call, window=3
 // makes budgets expire mid-quad, large windows let groups go hot.
-TEST(WindowedDifferentialTest, WindowSizesBracketFusionGroupLength) {
+void ExpectWindowSizesMatchReference(const PlatformConfig& run_config) {
   for (const uint64_t window : {1ull, 3ull, 5ull, 1024ull}) {
     for (const uint64_t seed : {11ull, 23ull, 47ull}) {
-      const std::optional<Divergence> d =
-          RunRandomProgramDiffWindowed(seed, 3000, window);
+      const std::optional<Divergence> d = RunRandomProgramDiffWindowed(
+          seed, 3000, window, RandomProgramOptions{}, run_config);
       ASSERT_FALSE(d.has_value())
           << "seed=" << seed << " window=" << window << " step=" << d->step
           << ": " << d->what;
     }
   }
+}
+
+TEST(WindowedDifferentialTest, WindowSizesBracketFusionGroupLength) {
+  ExpectWindowSizesMatchReference(PlatformConfig{});
+}
+
+// The same windows with the Run() side's fusion off, and with its whole
+// fast path off: Run() then takes the one run loop as the plain uncached
+// interpreter, with eager device ticks.
+TEST(WindowedDifferentialTest, RunLoopWithoutFusionMatchesReference) {
+  PlatformConfig config;
+  config.fusion = false;
+  ExpectWindowSizesMatchReference(config);
+}
+
+TEST(WindowedDifferentialTest, UncachedRunLoopMatchesReference) {
+  PlatformConfig config;
+  config.fast_path = false;
+  ExpectWindowSizesMatchReference(config);
 }
 
 // The divergence class the harness actually caught: accesses straddling the

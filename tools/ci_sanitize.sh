@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
-# Sanitizer build-and-test configurations:
+# Asserts-on and sanitizer build-and-test configurations:
+#  * Debug over the tier-1 suite (`ctest -LE tier2`): every assert and
+#    `!NDEBUG` check (Encode's field-range asserts, the Platform
+#    thread-affinity latch, the fleet fabric's in-flight recount) runs.
 #  * ASan + UBSan over the full suite: cache/invalidation bugs in the
 #    simulator fast path (decode cache, EA-MPU decision caches, bus routing
 #    memoization, superinstruction fusion's host backing pointers, the
@@ -12,15 +15,18 @@
 #    DESIGN.md §13) must be race-free at any thread count; FleetDigest's
 #    batched state hashing runs in these tests too.
 #
-# usage: tools/ci_sanitize.sh [asan-build-dir] [tsan-build-dir]
+# usage: tools/ci_sanitize.sh [asan-build-dir] [tsan-build-dir] [debug-build-dir]
 set -euo pipefail
 
 BUILD_DIR="${1:-build-asan}"
 TSAN_DIR="${2:-build-tsan}"
+DEBUG_DIR="${3:-build-debug}"
 SRC_DIR="$(dirname "$0")/.."
 
-# RelWithDebInfo (not Debug): the tier-1 suite runs with NDEBUG — some
-# error-path tests drive Encode() past its debug-only asserts on purpose.
+cmake -B "$DEBUG_DIR" -S "$SRC_DIR" -DCMAKE_BUILD_TYPE=Debug
+cmake --build "$DEBUG_DIR" -j "$(nproc)"
+ctest --test-dir "$DEBUG_DIR" --output-on-failure -j "$(nproc)" -LE tier2
+
 cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
