@@ -279,8 +279,8 @@ BENCHMARK(BM_UpdateCampaign)
     ->Args({256, 100})
     ->Unit(benchmark::kMillisecond);
 
-// One tlfleetd re-attestation epoch over an admitted fleet (DESIGN.md
-// §17): the idle window with health beacons flowing, a fresh challenge
+// One `tlfleet serve` re-attestation epoch over an admitted fleet
+// (DESIGN.md §17): the idle window with health beacons flowing, a fresh challenge
 // round over the roster, and the per-node verdict fold — the steady-state
 // cost of the control plane. Warm provisioning and admission are untimed.
 // Args: {nodes, host threads}.

@@ -76,8 +76,9 @@ enum class AttestNodeState {
 const char* AttestNodeStateName(AttestNodeState state);
 
 // Why a node was quarantined — a STABLE enum: values are part of the
-// status-output contract (`tlfleetd --status-json`, docs/FLEET.md) and the
-// quarantine transcript line; append new reasons at the end, never renumber.
+// status-output contract (`tlfleet serve --status-json`, docs/FLEET.md) and
+// the quarantine transcript line; append new reasons at the end, never
+// renumber.
 // Classification at quarantine time, most-specific evidence first:
 //   kMismatch    — at least one well-formed report arrived but matched no
 //                  challenge ever issued: the node's measurement diverges

@@ -132,7 +132,7 @@ void FleetController::RunIdle(uint64_t quanta) {
 
 template <typename DoneFn>
 bool FleetController::PumpUntil(DoneFn done) {
-  for (uint64_t i = 0; i < policy_.phase_quanta; ++i) {
+  for (uint64_t i = 0; i < kPhaseQuanta; ++i) {
     if (done()) {
       return true;
     }

@@ -2,8 +2,8 @@
 //
 // Fleet control plane (DESIGN.md §17): a long-running controller that owns
 // a fleet across its whole lifecycle — the "k3s for trustlets" layer on top
-// of the one-shot attest/update passes of tlfleet. Where tlfleet runs one
-// round and exits, FleetController keeps a roster:
+// of the one-shot `tlfleet attest`/`update` passes. Where those run one
+// round and exit, FleetController (`tlfleet serve`) keeps a roster:
 //
 //   * Attestation-gated admission: a node joins the roster only after a
 //     fresh verified report; failures land in quarantine with a stable
@@ -80,6 +80,11 @@ static_assert(kMaxConfigBlobBytes == kMaxConfigFrameData,
 // table there and in docs/WIRE_PROTOCOL.md.
 inline constexpr uint64_t kConfigTimeoutCycles = 400'000;
 
+// Budget (quanta) for the admission round and for each re-attestation /
+// config-push / scale-up verify phase (fixed, not tunable). A phase that
+// fails to resolve inside it is an error, never a hang.
+inline constexpr uint64_t kPhaseQuanta = 4'000;
+
 // Node-reported health counters (node-local state only; see header note).
 struct HealthBeacon {
   uint64_t cycle = 0;         // Node CPU cycle at emission.
@@ -93,10 +98,6 @@ struct HealthBeacon {
 
 struct FleetdPolicy {
   AttestPolicy attest;
-  // Budget (quanta) for the admission round and for each re-attestation /
-  // config-push / scale-up verify phase. A phase that fails to resolve
-  // inside its budget is an error, never a hang.
-  uint64_t phase_quanta = 4'000;
   // Idle quanta run between epochs — the re-attestation period.
   uint64_t epoch_idle_quanta = 32;
   // Node health agents emit a beacon every this many quanta (0 = off).
@@ -135,7 +136,7 @@ class FleetController {
 
   // Initial attestation round; verified nodes join the roster. Emits an
   // "admission" status epoch. Fails when the round does not resolve in
-  // phase_quanta (and with halt_on_quarantine, when any node quarantines).
+  // kPhaseQuanta (and with halt_on_quarantine, when any node quarantines).
   Status RunAdmission();
 
   // One re-attestation epoch: idle-runs epoch_idle_quanta (beacons keep

@@ -11,7 +11,7 @@
 //    as UART instants lining up across processes.
 //
 //  * FormatFleetStats renders the per-node execution/attestation summary
-//    table printed by `tlfleet run` (and reused by tests), including fleet
+//    table printed by `tlfleet` (and reused by tests), including fleet
 //    aggregates.
 //
 // Like the rest of observe/, this file has no dependency on src/fleet/ —

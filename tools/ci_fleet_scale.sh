@@ -29,24 +29,24 @@ mkdir -p "$WORK"
 
 fail() { echo "ci_fleet_scale: FAIL: $*" >&2; exit 1; }
 
-# run <tag> <threads> <extra tlfleet args...>
+# run <subcommand> <tag> <threads> <extra tlfleet args...>
 run() {
-  local tag="$1" threads="$2"
-  shift 2
-  "$TLFLEET" run "$GUEST" --nodes "$NODES" --seed 5 --threads "$threads" \
+  local cmd="$1" tag="$2" threads="$3"
+  shift 3
+  "$TLFLEET" "$cmd" "$GUEST" --nodes "$NODES" --seed 5 --threads "$threads" \
       --stats "$@" > "$WORK/out_${tag}_t${threads}.txt" \
       || fail "$tag --threads $threads exited nonzero"
 }
 
-# run_attacked <tag> <threads> <args...>: like run, but tolerates tlfleet's
-# verdict-mismatch exit (status 1) — under a full-rate compound adversary a
-# healthy node can deterministically exhaust its retry budget (availability
-# loss, not false trust); the caller pins the exact verdict instead. Any
-# other exit status (crash, signal) still fails.
+# run_attacked <subcommand> <tag> <threads> <args...>: like run, but
+# tolerates tlfleet's verdict-mismatch exit (status 1) — under a full-rate
+# compound adversary a healthy node can deterministically exhaust its retry
+# budget (availability loss, not false trust); the caller pins the exact
+# verdict instead. Any other exit status (crash, signal) still fails.
 run_attacked() {
-  local tag="$1" threads="$2" status=0
-  shift 2
-  "$TLFLEET" run "$GUEST" --nodes "$NODES" --seed 5 --threads "$threads" \
+  local cmd="$1" tag="$2" threads="$3" status=0
+  shift 3
+  "$TLFLEET" "$cmd" "$GUEST" --nodes "$NODES" --seed 5 --threads "$threads" \
       --stats "$@" > "$WORK/out_${tag}_t${threads}.txt" || status=$?
   [ "$status" -le 1 ] || fail "$tag --threads $threads crashed (status $status)"
 }
@@ -103,13 +103,13 @@ if [ "$MODE" = "stress" ]; then
   # already quarantines a couple of healthy nodes (deterministically in
   # the seed); 50000 ppm fires ~100 corruptions and all nodes verify.
   for threads in 1 8; do
-    run corrupt "$threads" --attest --warm-boot \
+    run attest corrupt "$threads" --warm-boot \
         --transcript "$WORK/tx_corrupt_t${threads}.txt" \
         --hostile corrupt --hostile-ppm 50000
-    run replay "$threads" --attest --warm-boot \
+    run attest replay "$threads" --warm-boot \
         --transcript "$WORK/tx_replay_t${threads}.txt" \
         --hostile replay --hostile-ppm 1000000 --tamper 1
-    run reflect "$threads" --attest --warm-boot \
+    run attest reflect "$threads" --warm-boot \
         --transcript "$WORK/tx_reflect_t${threads}.txt" \
         --hostile reflect --hostile-ppm 1000000
     # The compound stage deterministically costs one healthy node its
@@ -120,7 +120,7 @@ if [ "$MODE" = "stress" ]; then
     # remaining attempts. That is availability loss under an active MITM
     # — never false trust (the integrity check below) — and it is
     # bit-identical in the seed, so the gate pins the exact verdict.
-    run_attacked all "$threads" --attest --warm-boot \
+    run_attacked attest all "$threads" --warm-boot \
         --transcript "$WORK/tx_all_t${threads}.txt" \
         --corrupt-ppm 50000 --replay-ppm 1000000 --reflect-ppm 1000000 \
         --tamper 1
@@ -146,10 +146,10 @@ fi
 
 # --- smoke: attest / workload / hostile-reflect at $NODES nodes ----------
 for threads in 1 8; do
-  run attest "$threads" --attest --warm-boot \
+  run attest attest "$threads" --warm-boot \
       --transcript "$WORK/tx_attest_t${threads}.txt"
-  run workload "$threads" --topology ring --quanta 64 --batch-quanta 4
-  run hostile "$threads" --attest --warm-boot \
+  run workload workload "$threads" --topology ring --quanta 64 --batch-quanta 4
+  run attest hostile "$threads" --warm-boot \
       --transcript "$WORK/tx_hostile_t${threads}.txt" \
       --hostile reflect --hostile-ppm 1000000
 done

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Fleet control-plane gate (DESIGN.md §17, docs/FLEET.md): drives full
-# tlfleetd operator sessions and enforces:
+# `tlfleet serve` operator sessions and enforces:
 #  * a 256-node warm-boot session — admission, 3 re-attestation epochs, a
 #    digest-checked config push, scale-up by 8 snapshot clones, drain —
 #    completes with every node admitted, and its transcript, status epochs
@@ -17,10 +17,10 @@
 # frame byte or send cycle moves them; update them only for an intended
 # change to the wire protocol or the simulated timing.
 #
-# usage: tools/ci_fleetd.sh <tlfleetd-binary> [work-dir]
+# usage: tools/ci_fleetd.sh <tlfleet-binary> [work-dir]
 set -euo pipefail
 
-TLFLEETD="${1:?usage: ci_fleetd.sh <tlfleetd> [work-dir]}"
+TLFLEET="${1:?usage: ci_fleetd.sh <tlfleet> [work-dir]}"
 WORK="${2:-$(mktemp -d)}"
 mkdir -p "$WORK"
 
@@ -31,7 +31,7 @@ pinned() { [ "$(sha256sum < "$1" | cut -d' ' -f1)" = "$2" ]; }
 
 # --- Stage 1: 256-node session, deterministic across threads. --------------
 for threads in 1 8; do
-  "$TLFLEETD" run --nodes 256 --seed 9 --warm-boot --epochs 3 \
+  "$TLFLEET" serve --nodes 256 --seed 9 --warm-boot --epochs 3 \
       --config mode=eco --config rate=9600 --scale-up 8 \
       --threads "$threads" \
       --status-json "$WORK/status_t${threads}.json" \
@@ -72,7 +72,7 @@ grep -q '"cloned_from":' "$WORK/status_t1.json" \
 echo "ci_fleetd: status epoch stream ok"
 
 # --- Stage 3: stable quarantine reasons + halt-on-quarantine. --------------
-"$TLFLEETD" run --nodes 16 --seed 9 --tamper 2 --epochs 1 \
+"$TLFLEET" serve --nodes 16 --seed 9 --tamper 2 --epochs 1 \
     --status-json "$WORK/tamper_status.json" \
     > "$WORK/tamper_out.txt" \
     || fail "tamper session exited nonzero without --halt-on-quarantine"
@@ -80,7 +80,7 @@ grep -q '"reason":"mismatch"' "$WORK/tamper_status.json" \
     || fail "tampered nodes lack reason=mismatch in status output"
 grep -q "quarantined=2" "$WORK/tamper_out.txt" \
     || fail "tamper session did not quarantine exactly the tampered nodes"
-if "$TLFLEETD" run --nodes 16 --seed 9 --tamper 2 --halt-on-quarantine \
+if "$TLFLEET" serve --nodes 16 --seed 9 --tamper 2 --halt-on-quarantine \
     > "$WORK/halt_out.txt" 2> "$WORK/halt_err.txt"; then
   fail "--halt-on-quarantine did not fail the session"
 fi
@@ -90,7 +90,7 @@ echo "ci_fleetd: quarantine reasons + halt-on-quarantine ok"
 
 # --- Stage 4: hostile-all matrix stays correct and deterministic. ----------
 for threads in 1 8; do
-  "$TLFLEETD" run --nodes 32 --seed 11 --epochs 2 --hostile all \
+  "$TLFLEET" serve --nodes 32 --seed 11 --epochs 2 --hostile all \
       --config mode=eco --scale-up 2 --threads "$threads" \
       --transcript "$WORK/hostile_t${threads}.txt" \
       > "$WORK/hostile_out_t${threads}.txt" \

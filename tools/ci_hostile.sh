@@ -23,11 +23,11 @@ mkdir -p "$WORK"
 
 fail() { echo "ci_hostile: FAIL: $*" >&2; exit 1; }
 
-# run <tag> <threads> <extra tlfleet args...>
+# run <tag> <threads> <extra tlfleet attest args...>
 run() {
   local tag="$1" threads="$2"
   shift 2
-  "$TLFLEET" run --attest --nodes 4 --seed 7 --threads "$threads" \
+  "$TLFLEET" attest --nodes 4 --seed 7 --threads "$threads" \
       --stats --transcript "$WORK/tx_${tag}_t${threads}.txt" "$@" \
       > "$WORK/out_${tag}_t${threads}.txt" \
       || fail "$tag --threads $threads exited nonzero"

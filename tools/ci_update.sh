@@ -47,7 +47,7 @@ echo "ci_update: tlfw round-trip ok"
 
 # --- Stage 2: clean 256-node staged rollout, deterministic across threads. -
 for threads in 1 8; do
-  "$TLFLEET" run "$GUEST" --attest --warm-boot --nodes 256 --seed 9 \
+  "$TLFLEET" update "$GUEST" --warm-boot --nodes 256 --seed 9 \
       --threads "$threads" --update-image "$WORK/v2.tlfw" --canary-pct 10 \
       --transcript "$WORK/clean_t${threads}.txt" \
       > "$WORK/clean_out_t${threads}.txt" \
@@ -68,7 +68,7 @@ grep -qx "fleet-digest: $PIN_CLEAN_DIGEST" "$WORK/clean_out_t1.txt" \
 echo "ci_update: clean 256-node rollout ok"
 
 # --- Stage 3: mid-campaign tamper => halt, rollback, quarantine. -----------
-"$TLFLEET" run "$GUEST" --attest --nodes 64 --seed 9 \
+"$TLFLEET" update "$GUEST" --nodes 64 --seed 9 \
     --update-image "$WORK/v2.tlfw" --canary-pct 10 --halt-on-quarantine \
     --update-tamper-canary --transcript "$WORK/tamper.txt" \
     > "$WORK/tamper_out.txt" \
@@ -81,7 +81,7 @@ grep -q "aborted: 1 node(s) quarantined" "$WORK/tamper.txt" \
 echo "ci_update: halt-on-quarantine rollback ok"
 
 # --- Stage 4: anti-rollback replay rejected fleet-wide. --------------------
-if "$TLFLEET" run "$GUEST" --attest --nodes 64 --seed 9 \
+if "$TLFLEET" update "$GUEST" --nodes 64 --seed 9 \
     --update-image "$WORK/v3.tlfw" --update-image "$WORK/v2.tlfw" \
     --canary-pct 100 --transcript "$WORK/replay.txt" \
     > "$WORK/replay_out.txt"
