@@ -8,7 +8,7 @@
 #include <string>
 
 #include "src/common/rng.h"
-#include "src/crypto/sha256_engine.h"
+#include "src/crypto/sha256.h"
 #include "src/harness/injector.h"
 #include "src/loader/system_image.h"
 #include "src/mem/layout.h"
@@ -124,11 +124,10 @@ std::set<int> TamperPlan(const Fleet& fleet, int tamper_count) {
   return tampered;
 }
 
-// Cold-boots `node` through the full Secure Loader path. `built_out`
-// (optional) receives the build products for snapshot-based cloning.
+// Cold-boots `node` through the full Secure Loader path.
 Status ColdProvisionNode(FleetNode& node, const FleetProvisionConfig& config,
                          const std::array<uint8_t, 32>& key,
-                         NodeProvision* provision, NodeImage* built_out) {
+                         NodeProvision* provision) {
   Result<NodeImage> built = BuildNodeImage(config, key);
   if (!built.ok()) {
     return built.status();
@@ -162,121 +161,6 @@ Status ColdProvisionNode(FleetNode& node, const FleetProvisionConfig& config,
           &provision->fw_code)) {
     return Internal("cannot read back live FW code");
   }
-  if (built_out != nullptr) {
-    *built_out = std::move(*built);
-  }
-  return OkStatus();
-}
-
-// Warm-boots a clone: restore the golden node's post-boot snapshot and
-// patch the per-device state in place. All clones restore the SAME bytes,
-// so every patch site is located once (LocateGoldenPatchSites) and clones
-// write directly — no per-clone searching.
-struct GoldenState {
-  std::vector<uint8_t> snapshot;
-  std::array<uint8_t, 32> key{};
-  uint32_t attn_code_addr = 0;
-  uint32_t attn_code_size = 0;
-  std::vector<uint8_t> attn_code;      // Live post-boot attestation code.
-  uint32_t sram_key_addr = 0;          // Bus address of the key in SRAM.
-  uint32_t prom_key_offset = 0;        // Key offset inside the PROM image.
-  uint32_t tt_measurement_addr = 0;    // Attn row hash in the Trustlet Table.
-};
-
-// Finds the one live SRAM key copy, the PROM image key copy and the
-// Trustlet-Table measurement row on the freshly booted golden node. Run
-// once; WarmProvisionClone reuses the addresses for every clone.
-Status LocateGoldenPatchSites(Platform& platform, GoldenState* golden) {
-  Bus& bus = platform.bus();
-  const std::vector<uint8_t> key(golden->key.begin(), golden->key.end());
-
-  if (!bus.HostReadBytes(golden->attn_code_addr, golden->attn_code_size,
-                         &golden->attn_code)) {
-    return Internal("cannot read golden attestation code");
-  }
-  auto key_it = std::search(golden->attn_code.begin(), golden->attn_code.end(),
-                            key.begin(), key.end());
-  if (key_it == golden->attn_code.end()) {
-    return Internal("golden key not found in live attestation code");
-  }
-  golden->sram_key_addr =
-      golden->attn_code_addr +
-      static_cast<uint32_t>(std::distance(golden->attn_code.begin(), key_it));
-  if (std::search(key_it + 1, golden->attn_code.end(), key.begin(),
-                  key.end()) != golden->attn_code.end()) {
-    return Internal("multiple live key copies in attestation code");
-  }
-
-  const std::vector<uint8_t>& rom = platform.prom().data();
-  auto rom_it = std::search(rom.begin(), rom.end(), key.begin(), key.end());
-  if (rom_it == rom.end()) {
-    return Internal("golden key not found in PROM image");
-  }
-  golden->prom_key_offset =
-      static_cast<uint32_t>(std::distance(rom.begin(), rom_it));
-
-  // The Secure Loader stored SHA-256(live attn code) in the trustlet's
-  // Trustlet-Table row; find that row so clones can re-measure in place.
-  const Sha256Digest measurement = Sha256Hash(golden->attn_code);
-  std::vector<uint8_t> table;
-  if (!bus.HostReadBytes(kTrustletTableBase, 0x1000, &table)) {
-    return Internal("cannot read Trustlet Table");
-  }
-  auto tt_it = std::search(table.begin(), table.end(), measurement.begin(),
-                           measurement.end());
-  if (tt_it == table.end()) {
-    return Internal("attestation measurement not found in Trustlet Table");
-  }
-  golden->tt_measurement_addr =
-      kTrustletTableBase +
-      static_cast<uint32_t>(std::distance(table.begin(), tt_it));
-  if (std::search(tt_it + 1, table.end(), measurement.begin(),
-                  measurement.end()) != table.end()) {
-    return Internal("ambiguous attestation measurement in Trustlet Table");
-  }
-  return OkStatus();
-}
-
-Status WarmProvisionClone(FleetNode& node, const GoldenState& golden,
-                          const std::array<uint8_t, 32>& key,
-                          const Sha256Digest& measurement,
-                          bool first_clone, NodeProvision* provision) {
-  // High-frequency path: skip the SHA digest check on every clone (the
-  // property tests cover it), and only CRC the golden buffer on the first
-  // clone — every later restore re-reads the same in-memory bytes, so
-  // re-checksumming them per clone is pure waste (DESIGN.md §14).
-  SnapshotRestoreOptions restore_options;
-  restore_options.verify_digest = false;
-  restore_options.verify_checksums = first_clone;
-  TL_RETURN_IF_ERROR(
-      RestorePlatform(&node.platform(), golden.snapshot, restore_options));
-  provision->key = key;
-
-  Bus& bus = node.platform().bus();
-  const std::vector<uint8_t> node_key(key.begin(), key.end());
-
-  // 1. Patch the key: live SRAM copy (what the trustlet reads at run time)
-  //    and the PROM image (what a re-boot would reload). PROM rejects bus
-  //    writes by design, so its backing store goes through the host-side
-  //    loader path with an explicit cache invalidation.
-  if (!bus.HostWriteBytes(golden.sram_key_addr, node_key)) {
-    return Internal("cannot patch live key copy");
-  }
-  node.platform().prom().LoadBytes(golden.prom_key_offset, node_key);
-  bus.NoteHostMutation();
-
-  // 2. Fix up the trustlet's Trustlet-Table row with this clone's
-  //    precomputed measurement (all clone measurements are hashed in one
-  //    batch before the clone loop; see ProvisionAttestationFleet).
-  if (!bus.HostWriteBytes(
-          golden.tt_measurement_addr,
-          std::vector<uint8_t>(measurement.begin(), measurement.end()))) {
-    return Internal("cannot patch Trustlet-Table measurement");
-  }
-
-  // 3. Per-device randomness: the clone must draw from its own stream, not
-  //    the golden node's.
-  node.platform().trng().Reseed(node.device_seed());
   return OkStatus();
 }
 
@@ -341,19 +225,25 @@ Result<NodeProvision> RekeyClonedNode(FleetNode& node,
       static_cast<uint32_t>(std::distance(rom.begin(), rom_it));
 
   const Sha256Digest old_measurement = Sha256Hash(attn_code);
-  std::vector<uint8_t> table;
-  if (!bus.HostReadBytes(kTrustletTableBase, 0x1000, &table)) {
+  // Searched in place: a byte-by-byte bus copy of the 4 KiB table would
+  // cost more than the rest of the re-key together.
+  const uint8_t* table = bus.HostMemSpan(kTrustletTableBase, 0x1000);
+  if (table == nullptr) {
     return Internal("cannot read clone Trustlet Table");
   }
-  auto tt_it = std::search(table.begin(), table.end(),
-                           old_measurement.begin(), old_measurement.end());
-  if (tt_it == table.end()) {
+  const uint8_t* table_end = table + 0x1000;
+  const uint8_t* tt_it = std::search(table, table_end, old_measurement.begin(),
+                                     old_measurement.end());
+  if (tt_it == table_end) {
     return Internal("attestation measurement not found in clone Trustlet "
                     "Table");
   }
   const uint32_t tt_row_addr =
-      kTrustletTableBase +
-      static_cast<uint32_t>(std::distance(table.begin(), tt_it));
+      kTrustletTableBase + static_cast<uint32_t>(tt_it - table);
+  if (std::search(tt_it + 1, table_end, old_measurement.begin(),
+                  old_measurement.end()) != table_end) {
+    return Internal("ambiguous attestation measurement in Trustlet Table");
+  }
 
   // Patch: live SRAM key, PROM key (a re-boot reloads it), then — last, so
   // a failure above leaves the clone attesting as a plain source copy
@@ -397,30 +287,33 @@ Result<std::vector<NodeProvision>> ProvisionAttestationFleet(
   std::vector<NodeProvision> provisions;
   provisions.reserve(static_cast<size_t>(fleet->num_nodes()));
   const std::set<int> tampered = TamperPlan(*fleet, config.tamper_count);
+  const uint64_t fleet_seed = fleet->config().seed;
 
-  GoldenState golden;
-  // Warm-clone Trustlet-Table measurements, hashed as one batch once the
-  // golden patch sites are known; entry i-1 belongs to clone node i.
-  std::vector<Sha256Digest> clone_measurements;
+  // Warm boot: node 0's post-Secure-Loader state, saved before the tamper
+  // plan touches it. Every other node restores it and is re-keyed.
+  std::vector<uint8_t> golden;
   for (int i = 0; i < fleet->num_nodes(); ++i) {
     FleetNode& node = fleet->node(i);
     NodeProvision provision;
-    const std::array<uint8_t, 32> key =
-        DeriveDeviceKey(fleet->config().seed, i);
-
-    const bool warm_clone = config.warm_boot && i > 0;
-    if (!warm_clone) {
-      NodeImage built;
+    if (config.warm_boot && i > 0) {
+      // Every clone restores the same in-memory buffer: CRC it on the first
+      // restore only, and leave the digest check to the property tests
+      // (DESIGN.md §14).
+      SnapshotRestoreOptions restore_options;
+      restore_options.verify_digest = false;
+      restore_options.verify_checksums = i == 1;
       TL_RETURN_IF_ERROR(
-          ColdProvisionNode(node, config, key, &provision,
-                            config.warm_boot ? &built : nullptr));
+          RestorePlatform(&node.platform(), golden, restore_options));
+      Result<NodeProvision> rekeyed =
+          RekeyClonedNode(node, provisions[0], fleet_seed);
+      if (!rekeyed.ok()) {
+        return rekeyed.status();
+      }
+      provision = std::move(*rekeyed);
+    } else {
+      TL_RETURN_IF_ERROR(ColdProvisionNode(
+          node, config, DeriveDeviceKey(fleet_seed, i), &provision));
       if (config.warm_boot) {
-        // This is the golden node: capture its post-Secure-Loader state
-        // once, then clone it into every other node.
-        golden.key = key;
-        golden.attn_code_addr = built.attn.code_addr;
-        golden.attn_code_size = static_cast<uint32_t>(built.attn.code.size());
-        TL_RETURN_IF_ERROR(LocateGoldenPatchSites(node.platform(), &golden));
         SnapshotSaveOptions save_options;
         save_options.include_digest = false;
         Result<std::vector<uint8_t>> snapshot =
@@ -428,34 +321,8 @@ Result<std::vector<NodeProvision>> ProvisionAttestationFleet(
         if (!snapshot.ok()) {
           return snapshot.status();
         }
-        golden.snapshot = std::move(*snapshot);
-        // Every clone hashes the same golden code with only its 32-byte key
-        // spliced in — batch all of those measurements now, in one pass.
-        const size_t key_offset = golden.sram_key_addr - golden.attn_code_addr;
-        std::vector<std::vector<uint8_t>> patched(
-            static_cast<size_t>(fleet->num_nodes() - 1));
-        for (int clone = 1; clone < fleet->num_nodes(); ++clone) {
-          const std::array<uint8_t, 32> clone_key =
-              DeriveDeviceKey(fleet->config().seed, clone);
-          patched[clone - 1] = golden.attn_code;
-          std::copy(clone_key.begin(), clone_key.end(),
-                    patched[clone - 1].begin() + key_offset);
-        }
-        clone_measurements = Sha256BatchHash(patched);
+        golden = std::move(*snapshot);
       }
-    } else {
-      TL_RETURN_IF_ERROR(WarmProvisionClone(node, golden, key,
-                                            clone_measurements[i - 1],
-                                            /*first_clone=*/i == 1,
-                                            &provision));
-      // Warm clones share the golden node's FW trustlet bytes.
-      provision.fw_id = provisions[0].fw_id;
-      provision.fw_code_addr = provisions[0].fw_code_addr;
-      provision.fw_code = provisions[0].fw_code;
-      provision.fw_payload_offset = provisions[0].fw_payload_offset;
-      provision.fw_payload_capacity = provisions[0].fw_payload_capacity;
-      provision.attn_code_addr = provisions[0].attn_code_addr;
-      provision.attn_code_size = provisions[0].attn_code_size;
     }
 
     if (tampered.count(i) != 0) {

@@ -41,11 +41,10 @@ struct FleetProvisionConfig {
   uint32_t timer_period = 2000;
   // Warm-boot cloning: run the Secure Loader once on node 0 ("golden"
   // node), snapshot its post-boot state, and provision every other node by
-  // restoring the snapshot and patching the per-device secrets in place —
-  // the attestation key bytes (SRAM code + PROM image), the Trustlet-Table
-  // measurement of the patched attestation trustlet, and the TRNG seed.
-  // Attestation still verifies on every node; fleet digests are NOT
-  // expected to match a cold boot (TRNG cursors differ by construction).
+  // restoring the snapshot and re-keying it with RekeyClonedNode — the same
+  // routine live scale-up uses. Attestation still verifies on every node;
+  // fleet digests are NOT expected to match a cold boot (TRNG cursors
+  // differ by construction).
   bool warm_boot = false;
 };
 
@@ -85,15 +84,16 @@ Result<std::vector<NodeProvision>> ProvisionAttestationFleet(
 // provision time. Marks the provision tampered.
 Status TamperNode(FleetNode& node, NodeProvision* provision);
 
-// Mid-run re-key of a snapshot-restored clone (DESIGN.md §17): `node` holds
-// a byte-exact restore of the platform whose identity is `source`. Derives
-// the clone's own device key from (fleet_seed, node.id()), splices it over
-// the source key in the live attestation code and the PROM image, rewrites
-// the Trustlet-Table measurement row for the re-keyed code, and reseeds the
-// TRNG with the clone's derived stream — the same patch-site machinery warm
-// provisioning applies at boot time (§14), extended to a node that has
-// already been running. Fails closed (no partial patch is observable via
-// attestation: the measurement row is rewritten last). Returns the clone's
+// Re-keys a snapshot-restored clone (DESIGN.md §14, §17): `node` holds a
+// byte-exact restore of the platform whose identity is `source` — the
+// golden node at warm-boot provisioning, a running node at live scale-up.
+// Derives the clone's own device key from (fleet_seed, node.id()), splices
+// it over the source key in the live attestation code and the PROM image,
+// rewrites the Trustlet-Table measurement row for the re-keyed code, and
+// reseeds the TRNG with the clone's derived stream. Every patch site must
+// be unique (one live key copy, one Trustlet-Table row) or the call fails
+// before mutating anything; the measurement row is rewritten last, so no
+// partial patch is observable via attestation. Returns the clone's
 // provision: `source` with the new key, tampered cleared.
 Result<NodeProvision> RekeyClonedNode(FleetNode& node,
                                       const NodeProvision& source,

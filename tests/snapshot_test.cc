@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/bytes.h"
 #include "src/common/rng.h"
 #include "src/fleet/attest.h"
 #include "src/fleet/fleet.h"
@@ -406,14 +407,68 @@ loop:
 }
 
 // ---------------------------------------------------------------------------
+// Digest pins. The fleet-digest and transcript pins of the tier-2 CI scripts
+// all rest on PlatformStateDigest's byte order and on the state a warm clone
+// is left in; these hex values pin both in tier 1.
+
+std::string Hex(const Sha256Digest& digest) {
+  return HexEncode(digest.data(), digest.size());
+}
+
+TEST(StateDigestPinTest, PlatformStateDigestIsPinned) {
+  // Registers, cycles, DRAM and UART output all carry guest-written state.
+  std::unique_ptr<Platform> busy(NewBusyPlatform());
+  busy->Run(1'000'000);
+  ASSERT_TRUE(busy->cpu().halted());
+  EXPECT_EQ(Hex(PlatformStateDigest(*busy)),
+            "6f56c19a0a694ada22e3d8d0926122fbb7b65a4afefff6ab3cd430f37d69be3a");
+
+  // A node booted through the Secure Loader (Trustlet Table, MPU-locked
+  // trustlets, nanOS running).
+  FleetConfig config;
+  config.nodes = 1;
+  config.seed = 3;
+  Fleet fleet(config);
+  ASSERT_TRUE(ProvisionAttestationFleet(&fleet, FleetProvisionConfig{}).ok());
+  EXPECT_EQ(Hex(PlatformStateDigest(fleet.node(0).platform())),
+            "705b0658f1e1ee5d4b0daa0c71951aa6721f3c1fd92a5868fa374ac88a5bf5db");
+}
+
+TEST(StateDigestPinTest, WarmBootFleetDigestIsPinned) {
+  FleetConfig config;
+  config.nodes = 4;
+  config.seed = 11;
+  Fleet fleet(config);
+  FleetProvisionConfig prov;
+  prov.warm_boot = true;
+  prov.tamper_count = 1;
+  ASSERT_TRUE(ProvisionAttestationFleet(&fleet, prov).ok());
+  EXPECT_EQ(Hex(fleet.FleetDigest()),
+            "d056749d758c42196a4ae2236eef4879fcf65efd911be63cd633c953c883a8e8");
+  fleet.RunQuanta(20);
+  EXPECT_EQ(Hex(fleet.FleetDigest()),
+            "beb634b045615329737e6237b1444a515cc9d0e60189b9fb9aca07ba8eba37d2");
+}
+
+// ---------------------------------------------------------------------------
 // Warm-boot fleet provisioning.
 
 TEST(WarmBootTest, WarmFleetAttestsLikeColdFleet) {
-  for (int threads : {1, 4}) {
+  // Seed 5 makes the tamper plan pick node 0, the golden node: the clones
+  // then re-key from a provision marked tampered, restore the pre-tamper
+  // golden snapshot, and must all verify while node 0 alone is quarantined.
+  struct Case {
+    uint64_t seed;
+    int threads;
+    int tampered_node;
+  };
+  for (const Case& c : {Case{11, 1, 1}, Case{11, 4, 1}, Case{5, 4, 0}}) {
+    SCOPED_TRACE("seed=" + std::to_string(c.seed) +
+                 " threads=" + std::to_string(c.threads));
     FleetConfig config;
     config.nodes = 6;
-    config.seed = 11;
-    config.threads = threads;
+    config.seed = c.seed;
+    config.threads = c.threads;
     Fleet fleet(config);
     FleetProvisionConfig prov;
     prov.warm_boot = true;
@@ -422,6 +477,12 @@ TEST(WarmBootTest, WarmFleetAttestsLikeColdFleet) {
         ProvisionAttestationFleet(&fleet, prov);
     ASSERT_TRUE(provisions.ok()) << provisions.status().ToString();
     ASSERT_EQ(provisions->size(), 6u);
+    for (size_t i = 0; i < provisions->size(); ++i) {
+      EXPECT_EQ((*provisions)[i].tampered,
+                static_cast<int>(i) == c.tampered_node)
+          << i;
+      EXPECT_EQ((*provisions)[i].fw_code, (*provisions)[0].fw_code) << i;
+    }
 
     FleetAttestor attestor(&fleet, *provisions, AttestPolicy{});
     attestor.Begin();
@@ -430,9 +491,9 @@ TEST(WarmBootTest, WarmFleetAttestsLikeColdFleet) {
       fleet.RunQuanta(1);
       attestor.OnQuantumBoundary();
     }
-    ASSERT_TRUE(attestor.Done()) << "threads=" << threads;
-    EXPECT_EQ(attestor.Verified().size(), 5u) << "threads=" << threads;
-    EXPECT_EQ(attestor.Quarantined().size(), 1u) << "threads=" << threads;
+    ASSERT_TRUE(attestor.Done());
+    EXPECT_EQ(attestor.Verified().size(), 5u);
+    EXPECT_EQ(attestor.Quarantined(), std::vector<int>{c.tampered_node});
   }
 }
 

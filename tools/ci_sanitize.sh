@@ -40,12 +40,13 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # controller agents writing node DRAM between quanta are exactly where a
 # data race would hide (ctest regex covers the gtest-discovered Fleet*/
 # QuantumPool*/HostileCampaign*/ReplayWindow*/FleetUpdate*/FleetController*
-# cases plus the ci_hostile, ci_update and ci_fleetd gates).
+# and WarmBoot* cases — warm-boot clones run their first quanta at 4
+# threads — plus the ci_hostile, ci_update and ci_fleetd gates).
 cmake -B "$TSAN_DIR" -S "$SRC_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake --build "$TSAN_DIR" -j "$(nproc)" \
   --target fleet_test hostile_attest_test fleet_update_test fleetd_test \
-  rng_test tlfleet tlfw
+  snapshot_test rng_test tlfleet tlfw
 ctest --test-dir "$TSAN_DIR" --output-on-failure \
-  -R 'Fleet|QuantumPool|LinkFabric|DeriveDeviceSeed|SplitMix|tlfleet|Hostile|ReplayWindow|ControlWire|ci_hostile|ci_update|ci_fleetd'
+  -R 'Fleet|QuantumPool|LinkFabric|DeriveDeviceSeed|SplitMix|tlfleet|Hostile|ReplayWindow|ControlWire|WarmBoot|ci_hostile|ci_update|ci_fleetd'

@@ -38,7 +38,6 @@
 // fleet digest printed at the end pins the architectural state of every
 // node, so two runs can be compared with string equality.
 
-#include <cerrno>
 #include <chrono>
 #include <climits>
 #include <cstdint>
@@ -61,6 +60,7 @@
 #include "src/isa/assembler.h"
 #include "src/platform/observe/fleet_trace.h"
 #include "src/platform/observe/json.h"
+#include "tools/parse_number.h"
 
 namespace trustlite {
 namespace {
@@ -138,23 +138,6 @@ struct Options {
 
 // Setters return "" on success, else what is wrong with the value.
 using Setter = std::string (*)(Options*, const std::string&);
-
-// Parses all of `text` as an unsigned integer (decimal, 0x-hex or 0-octal)
-// in [lo, hi].
-template <typename T>
-std::string ParseNumber(const std::string& text, uint64_t lo, uint64_t hi,
-                        T* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 0);
-  if (text.empty() || text[0] < '0' || text[0] > '9' || *end != '\0' ||
-      errno == ERANGE || value < lo || value > hi) {
-    return "'" + text + "' is not an integer in [" + std::to_string(lo) +
-           ", " + std::to_string(hi) + "]";
-  }
-  *out = static_cast<T>(value);
-  return "";
-}
 
 template <auto Field, uint64_t Lo, uint64_t Hi>
 std::string SetNumber(Options* opt, const std::string& text) {

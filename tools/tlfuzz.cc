@@ -17,14 +17,15 @@
 // Every failure report prints the responsible seed; re-running with
 // --seed <that seed> --programs 1 (or --campaigns 1) reproduces it exactly.
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "src/harness/differential.h"
 #include "src/harness/injector.h"
+#include "tools/parse_number.h"
 
 namespace {
 
@@ -32,10 +33,7 @@ using trustlite::Divergence;
 using trustlite::InjectionCampaignConfig;
 using trustlite::InjectionCampaignResult;
 using trustlite::InjectionEvent;
-
-uint64_t ParseU64(const char* text) {
-  return static_cast<uint64_t>(std::strtoull(text, nullptr, 0));
-}
+using trustlite::ParseFlagNumber;
 
 int Usage() {
   std::fprintf(stderr,
@@ -141,21 +139,28 @@ int main(int argc, char** argv) {
   int events = 200;
   uint64_t seed = 1;
   uint64_t steps = 0;  // 0 = per-mode default.
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--programs" && has_value) {
-      programs = ParseU64(argv[++i]);
-    } else if (arg == "--campaigns" && has_value) {
-      campaigns = ParseU64(argv[++i]);
-    } else if (arg == "--events" && has_value) {
-      events = static_cast<int>(ParseU64(argv[++i]));
-    } else if (arg == "--seed" && has_value) {
-      seed = ParseU64(argv[++i]);
-    } else if (arg == "--steps" && has_value) {
-      steps = ParseU64(argv[++i]);
+  for (int i = 2; i < argc; i += 2) {
+    const std::string flag = argv[i];
+    if (i + 1 >= argc) {
+      return Usage();
+    }
+    const char* value = argv[i + 1];
+    bool ok = false;
+    if (flag == "--programs") {
+      ok = ParseFlagNumber("tlfuzz", flag, value, 0, UINT64_MAX, &programs);
+    } else if (flag == "--campaigns") {
+      ok = ParseFlagNumber("tlfuzz", flag, value, 0, UINT64_MAX, &campaigns);
+    } else if (flag == "--events") {
+      ok = ParseFlagNumber("tlfuzz", flag, value, 0, INT_MAX, &events);
+    } else if (flag == "--seed") {
+      ok = ParseFlagNumber("tlfuzz", flag, value, 0, UINT64_MAX, &seed);
+    } else if (flag == "--steps") {
+      ok = ParseFlagNumber("tlfuzz", flag, value, 0, UINT64_MAX, &steps);
     } else {
       return Usage();
+    }
+    if (!ok) {
+      return 2;  // A bad value is a usage error, never a silent zero.
     }
   }
   if (mode == "diff") {

@@ -19,8 +19,9 @@
 // device key directly.
 
 #include <array>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "src/common/rng.h"
 #include "src/fleet/provision.h"
 #include "src/update/fw_container.h"
+#include "tools/parse_number.h"
 
 namespace trustlite {
 namespace {
@@ -89,6 +91,10 @@ bool ParseOptions(int argc, char** argv, int from, Options* opts) {
   uint64_t fleet_seed = 0;
   bool fleet_seed_set = false;
   int node = -1;
+  auto number = [](const std::string& flag, const char* v, uint64_t lo,
+                   uint64_t hi, auto* out) {
+    return ParseFlagNumber("tlfw", flag, v, lo, hi, out);
+  };
   for (int i = from; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&](const char* flag) -> const char* {
@@ -100,29 +106,36 @@ bool ParseOptions(int argc, char** argv, int from, Options* opts) {
     };
     if (arg == "--version") {
       const char* v = next("--version");
-      if (v == nullptr) return false;
-      opts->version = static_cast<uint32_t>(std::strtoul(v, nullptr, 0));
+      if (v == nullptr || !number(arg, v, 1, UINT32_MAX, &opts->version)) {
+        return false;
+      }
     } else if (arg == "--name") {
       const char* v = next("--name");
       if (v == nullptr) return false;
       opts->name = v;
     } else if (arg == "--chunk-bytes") {
       const char* v = next("--chunk-bytes");
-      if (v == nullptr) return false;
-      opts->chunk_bytes = static_cast<uint32_t>(std::strtoul(v, nullptr, 0));
+      if (v == nullptr ||
+          !number(arg, v, 1, UINT32_MAX, &opts->chunk_bytes)) {
+        return false;
+      }
     } else if (arg == "--payload-file") {
       const char* v = next("--payload-file");
       if (v == nullptr) return false;
       opts->payload_file = v;
     } else if (arg == "--payload-seed") {
       const char* v = next("--payload-seed");
-      if (v == nullptr) return false;
-      opts->payload_seed = std::strtoull(v, nullptr, 0);
+      if (v == nullptr ||
+          !number(arg, v, 0, UINT64_MAX, &opts->payload_seed)) {
+        return false;
+      }
       opts->payload_seed_set = true;
     } else if (arg == "--payload-bytes") {
       const char* v = next("--payload-bytes");
-      if (v == nullptr) return false;
-      opts->payload_bytes = static_cast<uint32_t>(std::strtoul(v, nullptr, 0));
+      if (v == nullptr ||
+          !number(arg, v, 0, UINT32_MAX, &opts->payload_bytes)) {
+        return false;
+      }
     } else if (arg == "--key-hex") {
       const char* v = next("--key-hex");
       if (v == nullptr) return false;
@@ -133,13 +146,15 @@ bool ParseOptions(int argc, char** argv, int from, Options* opts) {
       opts->key.present = true;
     } else if (arg == "--fleet-seed") {
       const char* v = next("--fleet-seed");
-      if (v == nullptr) return false;
-      fleet_seed = std::strtoull(v, nullptr, 0);
+      if (v == nullptr || !number(arg, v, 0, UINT64_MAX, &fleet_seed)) {
+        return false;
+      }
       fleet_seed_set = true;
     } else if (arg == "--node") {
       const char* v = next("--node");
-      if (v == nullptr) return false;
-      node = static_cast<int>(std::strtol(v, nullptr, 0));
+      if (v == nullptr || !number(arg, v, 0, INT_MAX, &node)) {
+        return false;
+      }
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "tlfw: unknown flag %s\n", arg.c_str());
       return false;

@@ -32,7 +32,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -50,6 +49,7 @@
 #include "src/platform/observe/profiler.h"
 #include "src/platform/platform.h"
 #include "src/snapshot/snapshot.h"
+#include "tools/parse_number.h"
 
 namespace trustlite {
 namespace {
@@ -84,8 +84,11 @@ bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
-uint32_t ParseAddr(const std::string& text) {
-  return static_cast<uint32_t>(std::strtoul(text.c_str(), nullptr, 0));
+// Numeric flag values go through the tools' shared parser: a typo or an
+// out-of-range value is a usage error (exit 2), never a silent zero.
+bool ParseAddr(const std::string& flag, const std::string& text,
+               uint32_t* out) {
+  return ParseFlagNumber("tlsim", flag, text, 0, UINT32_MAX, out);
 }
 
 int CmdAsm(const std::vector<std::string>& args) {
@@ -97,7 +100,10 @@ int CmdAsm(const std::vector<std::string>& args) {
     if (args[i] == "-o" && i + 1 < args.size()) {
       output = args[++i];
     } else if (args[i] == "--origin" && i + 1 < args.size()) {
-      origin = ParseAddr(args[++i]);
+      if (!ParseAddr(args[i], args[i + 1], &origin)) {
+        return 2;
+      }
+      ++i;
     } else if (args[i] == "--symbols") {
       symbols = true;
     } else if (input.empty()) {
@@ -146,7 +152,10 @@ int CmdDisas(const std::vector<std::string>& args) {
   uint32_t base = 0;
   for (size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--base" && i + 1 < args.size()) {
-      base = ParseAddr(args[++i]);
+      if (!ParseAddr(args[i], args[i + 1], &base)) {
+        return 2;
+      }
+      ++i;
     } else if (input.empty()) {
       input = args[i];
     } else {
@@ -189,9 +198,16 @@ int CmdRun(const std::vector<std::string>& args) {
     if (args[i] == "--entry" && i + 1 < args.size()) {
       entry_text = args[++i];
     } else if (args[i] == "--sp" && i + 1 < args.size()) {
-      sp = ParseAddr(args[++i]);
+      if (!ParseAddr(args[i], args[i + 1], &sp)) {
+        return 2;
+      }
+      ++i;
     } else if (args[i] == "--max" && i + 1 < args.size()) {
-      max_instructions = std::strtoull(args[++i].c_str(), nullptr, 0);
+      if (!ParseFlagNumber("tlsim", args[i], args[i + 1], 0, UINT64_MAX,
+                           &max_instructions)) {
+        return 2;
+      }
+      ++i;
     } else if (args[i] == "--trace") {
       trace = true;
     } else if (args[i] == "--no-mpu") {
@@ -205,7 +221,11 @@ int CmdRun(const std::vector<std::string>& args) {
     } else if (args[i] == "--uart-in" && i + 1 < args.size()) {
       uart_in = args[++i];
     } else if (args[i] == "--snapshot-every" && i + 1 < args.size()) {
-      snapshot_every = std::strtoull(args[++i].c_str(), nullptr, 0);
+      if (!ParseFlagNumber("tlsim", args[i], args[i + 1], 0, UINT64_MAX,
+                           &snapshot_every)) {
+        return 2;
+      }
+      ++i;
     } else if (args[i] == "--snapshot-out" && i + 1 < args.size()) {
       snapshot_out = args[++i];
     } else if (args[i] == "--resume-from" && i + 1 < args.size()) {
@@ -281,7 +301,11 @@ int CmdRun(const std::vector<std::string>& args) {
     entry = out->chunks.empty() ? 0 : out->chunks.front().base;
     if (!entry_text.empty()) {
       auto it = out->symbols.find(entry_text);
-      entry = it != out->symbols.end() ? it->second : ParseAddr(entry_text);
+      if (it != out->symbols.end()) {
+        entry = it->second;
+      } else if (!ParseAddr("--entry", entry_text, &entry)) {
+        return 2;
+      }
     } else {
       auto it = out->symbols.find("start");
       if (it != out->symbols.end()) {
@@ -444,12 +468,16 @@ struct LoadedProgram {
   uint32_t entry = 0;
 };
 
-uint32_t ResolveAddr(const LoadedProgram& prog, const std::string& text) {
+// A symbol name or a numeric address; false (diagnostic printed) when
+// `text` is neither.
+bool ResolveAddr(const LoadedProgram& prog, const std::string& text,
+                 uint32_t* out) {
   auto it = prog.symbols.find(text);
   if (it != prog.symbols.end()) {
-    return it->second;
+    *out = it->second;
+    return true;
   }
-  return ParseAddr(text);
+  return ParseAddr("address", text, out);
 }
 
 void PrintRegs(const Cpu& cpu) {
@@ -483,7 +511,10 @@ int CmdDebug(const std::vector<std::string>& args) {
     if (args[i] == "--entry" && i + 1 < args.size()) {
       entry_text = args[++i];
     } else if (args[i] == "--sp" && i + 1 < args.size()) {
-      sp = ParseAddr(args[++i]);
+      if (!ParseAddr(args[i], args[i + 1], &sp)) {
+        return 2;
+      }
+      ++i;
     } else if (input.empty()) {
       input = args[i];
     } else {
@@ -511,7 +542,9 @@ int CmdDebug(const std::vector<std::string>& args) {
   LoadedProgram prog{&platform, out->symbols, 0};
   prog.entry = out->chunks.empty() ? 0 : out->chunks.front().base;
   if (!entry_text.empty()) {
-    prog.entry = ResolveAddr(prog, entry_text);
+    if (!ResolveAddr(prog, entry_text, &prog.entry)) {
+      return 2;
+    }
   } else if (out->symbols.count("start") != 0) {
     prog.entry = out->symbols.at("start");
   }
@@ -581,20 +614,29 @@ int CmdDebug(const std::vector<std::string>& args) {
     } else if (cmd == "b" || cmd == "break") {
       std::string where;
       iss >> where;
-      const uint32_t addr = ResolveAddr(prog, where);
-      breakpoints.insert(addr);
-      std::printf("breakpoint set at %s\n", Hex32(addr).c_str());
+      uint32_t addr = 0;
+      if (ResolveAddr(prog, where, &addr)) {
+        breakpoints.insert(addr);
+        std::printf("breakpoint set at %s\n", Hex32(addr).c_str());
+      }
     } else if (cmd == "del") {
       std::string where;
       iss >> where;
-      breakpoints.erase(ResolveAddr(prog, where));
+      uint32_t addr = 0;
+      if (ResolveAddr(prog, where, &addr)) {
+        breakpoints.erase(addr);
+      }
     } else if (cmd == "r" || cmd == "regs") {
       PrintRegs(platform.cpu());
     } else if (cmd == "m" || cmd == "mem") {
       std::string where;
       int count = 8;
       iss >> where >> count;
-      uint32_t addr = ResolveAddr(prog, where) & ~3u;
+      uint32_t addr = 0;
+      if (!ResolveAddr(prog, where, &addr)) {
+        continue;
+      }
+      addr &= ~3u;
       for (int i = 0; i < count; ++i) {
         uint32_t word = 0;
         if (!platform.bus().HostReadWord(addr, &word)) {
@@ -608,8 +650,10 @@ int CmdDebug(const std::vector<std::string>& args) {
       std::string where;
       int count = 8;
       iss >> where >> count;
-      const uint32_t addr =
-          where.empty() ? platform.cpu().ip() : ResolveAddr(prog, where);
+      uint32_t addr = platform.cpu().ip();
+      if (!where.empty() && !ResolveAddr(prog, where, &addr)) {
+        continue;
+      }
       PrintDisas(platform, addr, count);
     } else if (cmd == "sym") {
       for (const auto& [name, value] : prog.symbols) {
