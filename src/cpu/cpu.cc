@@ -622,7 +622,7 @@ const Instruction* Cpu::FetchDecode(uint64_t cycles_before, uint32_t* word,
   // (self-modifying code, loader) can never replay a stale decode; the
   // generation check additionally re-stamps entries after memory writes.
   const uint64_t mem_gen = bus_->memory_generation();
-  DecodeEntry& cached = decode_cache_[(ip_ >> 2) & (kDecodeCacheSize - 1)];
+  DecodeEntry& cached = decode_cache_[CacheIndex(ip_, kDecodeCacheSize)];
   if (config_.decode_cache && cached.valid && cached.addr == ip_ &&
       cached.word == *word) {
     cached.generation = mem_gen;  // Revalidated against the fresh word.
@@ -730,7 +730,7 @@ Cpu::FusionEntry* Cpu::FusionGroupFor(const Instruction& head, uint32_t word) {
     return nullptr;
   }
   const uint64_t mem_gen = bus_->memory_generation();
-  FusionEntry& fe = fusion_cache_[(ip_ >> 2) & (kFusionCacheSize - 1)];
+  FusionEntry& fe = fusion_cache_[CacheIndex(ip_, kFusionCacheSize)];
   if (!(fe.valid && fe.head_addr == ip_ && fe.ops[0].word == word &&
         fe.user_mode == ((flags_ & kFlagUser) != 0) &&
         fe.mpu_generation == CurrentMpuGeneration() &&

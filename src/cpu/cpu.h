@@ -46,6 +46,7 @@
 #ifndef TRUSTLITE_SRC_CPU_CPU_H_
 #define TRUSTLITE_SRC_CPU_CPU_H_
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -327,12 +328,35 @@ class Cpu {
 
   bool PendingIrq(Device** source) const;
 
-  // Direct-mapped decoded-instruction cache. Every fetch still goes through
-  // the bus (so MPU checks and device semantics are untouched); the cache
-  // only skips re-running Decode() on the fetched word. An entry is used
-  // when its address AND raw word match the fetched word, which makes it
-  // exact even for self-modifying code; the bus memory generation marks
-  // entries written since they were filled, so a stale-generation entry is
+  // Slot of the instruction at `ip` in a direct-mapped instruction cache of
+  // `size` entries (a power of two, at least 8); the one index shared by the
+  // decode and fusion caches. The plain word index `ip >> 2` maps every
+  // 4 KiB page onto the same slots, and TrustLite starts each trustlet's
+  // code at the bottom of its own region (the fleet image puts the FW
+  // trustlet at 0x11000, the attestation trustlet at 0x15000 and nanOS at
+  // 0x20000), so every context switch would evict the code it returns to.
+  // The 20-bit page number is XOR-folded to 3 bits and XORed into the
+  // index's top three bits, which hot code at low page offsets leaves clear:
+  // pages that fold to different values share no slot until one of them
+  // runs hot code past word `size / 8` of its page (128 words for decode,
+  // 64 for fusion). Folding into the low bits instead would not help, since
+  // that is where the hot code of every page already collides.
+  static constexpr uint32_t CacheIndex(uint32_t ip, uint32_t size) {
+    uint32_t page = ip >> 12;
+    page ^= page >> 12;
+    page ^= page >> 6;
+    page ^= page >> 3;
+    const int shift = std::countr_zero(size) - 3;
+    return ((ip >> 2) ^ ((page & 7u) << shift)) & (size - 1);
+  }
+
+  // Direct-mapped decoded-instruction cache, indexed by CacheIndex. Every
+  // fetch still goes through the bus (so MPU checks and device semantics are
+  // untouched); the cache only skips re-running Decode() on the fetched
+  // word. An entry is used when its address AND raw word match the fetched
+  // word, which makes it exact even for self-modifying code (the slot choice
+  // is a pure placement decision); the bus memory generation marks entries
+  // written since they were filled, so a stale-generation entry is
   // revalidated against the fresh word before reuse.
   struct DecodeEntry {
     uint32_t addr = 0;
@@ -343,15 +367,16 @@ class Cpu {
   };
   static constexpr uint32_t kDecodeCacheSize = 1024;  // Power of two.
 
-  // Superinstruction cache (DESIGN.md §15). A fused entry covers 2..4
-  // consecutive straight-line instructions starting at head_addr; only the
-  // head pays the real bus fetch (and its MPU fetch check) — the tail
-  // constituents' fetch permissions are precomputed with the EA-MPU's
-  // advisory query and pinned to mpu_generation, and their instruction
-  // words are revalidated through stable host backing pointers whenever the
-  // bus memory generation moved (self-modifying code, loaders, snapshot
-  // restore). count == 1 marks a tombstone: the head is not fusable, don't
-  // retry until its word or the MPU configuration changes.
+  // Superinstruction cache (DESIGN.md §15), direct-mapped by the head's
+  // CacheIndex. A fused entry covers 2..4 consecutive straight-line
+  // instructions starting at head_addr; only the head pays the real bus
+  // fetch (and its MPU fetch check) — the tail constituents' fetch
+  // permissions are precomputed with the EA-MPU's advisory query and pinned
+  // to mpu_generation, and their instruction words are revalidated through
+  // stable host backing pointers whenever the bus memory generation moved
+  // (self-modifying code, loaders, snapshot restore). count == 1 marks a
+  // tombstone: the head is not fusable, don't retry until its word or the
+  // MPU configuration changes.
   static constexpr int kMaxFusedOps = 4;
   struct FusedOp {
     Instruction insn;

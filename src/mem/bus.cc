@@ -178,8 +178,16 @@ bool Bus::HostReadBytes(uint32_t addr, uint32_t count,
     if (lazy_ticks_ && !device->IsMemory()) {
       FlushTicks();
     }
-    // Read the whole run that falls inside this device without re-routing.
+    // Read the whole run that falls inside this device without re-routing:
+    // one copy from the host backing for memory, byte reads for MMIO.
     const uint64_t run_end = std::min<uint64_t>(end, device->end());
+    const uint32_t offset = static_cast<uint32_t>(pos) - device->base();
+    const uint32_t len = static_cast<uint32_t>(run_end - pos);
+    if (const uint8_t* span = device->HostSpan(offset, len)) {
+      out->insert(out->end(), span, span + len);
+      pos = run_end;
+      continue;
+    }
     for (; pos < run_end; ++pos) {
       uint32_t value = 0;
       if (device->Read(static_cast<uint32_t>(pos) - device->base(), 1,

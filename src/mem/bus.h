@@ -77,7 +77,9 @@ class Bus {
   // Host/debug accesses: no protection check, no side effects on fault
   // registers. Used by loaders operating before the MPU is armed, tests and
   // trace tooling. The byte-run helpers resolve the target device once per
-  // contiguous device range, not once per byte.
+  // contiguous device range, not once per byte; HostReadBytes copies a
+  // memory device's range straight from its host backing and reads MMIO
+  // byte by byte through Device::Read.
   bool HostReadWord(uint32_t addr, uint32_t* value);
   bool HostWriteWord(uint32_t addr, uint32_t value);
   bool HostReadBytes(uint32_t addr, uint32_t count, std::vector<uint8_t>* out);

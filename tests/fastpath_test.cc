@@ -1,16 +1,21 @@
 // Copyright 2026 The TrustLite Reproduction Authors.
 //
-// Invalidation tests for the simulator fast path: the decoded-instruction
-// cache, the EA-MPU subject/decision/fetch caches, and the bus routing
-// memoization. These caches are host-side speedups only — every test here
-// pins down a case where stale cached state would change guest-visible
-// behavior, and checks that it does not.
+// Tests for the simulator fast path: the decoded-instruction and fusion
+// caches, the EA-MPU subject/decision/fetch caches, and the bus routing
+// memoization and host byte runs. These caches are host-side speedups only.
+// The invalidation tests pin down cases where stale cached state would
+// change guest-visible behavior, and check that it does not; the placement
+// tests pin the cache counts, so a slot-aliasing regression that costs only
+// host time still fails.
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/fleet/fleet.h"
+#include "src/fleet/provision.h"
 #include "src/isa/assembler.h"
 #include "src/isa/isa.h"
 #include "src/mem/layout.h"
@@ -105,6 +110,116 @@ site:
   platform.Run(100);
   ASSERT_TRUE(platform.cpu().halted());
   EXPECT_EQ(platform.cpu().reg(3), 42u);
+}
+
+// ---------------------------------------------------------------------------
+// Decode and fusion cache placement. TrustLite starts each trustlet's code at
+// the bottom of its own EA-MPU region, so the hot code of several regions
+// sits at the same page offsets; a slot index that ignores the page number
+// makes every context switch evict the code it is about to return to.
+
+// Hot loops in three code pages laid out like the fleet image (FW trustlet
+// at 0x11000, attestation trustlet 16 KiB above it, nanOS at 0x20000 with a
+// loop body running past word offset 64 of its page), called in turn from a
+// driver loop in a fourth page for `rounds` rounds. Returns the CPU stats.
+CpuStats RunPageHoppingLoops(int rounds) {
+  std::string nanos_body;
+  for (int i = 0; i < 72; ++i) {
+    nanos_body += "    addi r5, r5, 1\n";
+  }
+  std::string source = R"(
+.org 0x11000
+fw_loop:
+    movi r4, 0
+fw_again:
+    addi r5, r5, 1
+    xor  r7, r7, r5
+    addi r4, r4, 1
+    bne  r4, r6, fw_again
+    ret
+
+.org 0x15000
+attn_loop:
+    movi r4, 0
+attn_again:
+    addi r5, r5, 3
+    add  r7, r7, r5
+    addi r4, r4, 1
+    bne  r4, r6, attn_again
+    ret
+
+.org 0x20000
+nanos_loop:
+    movi r4, 0
+nanos_again:
+)" + nanos_body + R"(
+    addi r4, r4, 1
+    bne  r4, r6, nanos_again
+    ret
+
+.org 0x30000
+start:
+    movi r6, 3
+    movi r8, 0
+round:
+    call fw_loop
+    call attn_loop
+    call nanos_loop
+    addi r8, r8, 1
+    bne  r8, r9, round
+    halt
+)";
+  PlatformConfig config;
+  config.with_mpu = false;
+  Platform platform(config);
+  Result<AsmOutput> out = Assemble(source);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  if (!out.ok()) {
+    return {};
+  }
+  uint32_t base = 0;
+  const std::vector<uint8_t> image = out->Flatten(&base);
+  EXPECT_TRUE(platform.bus().HostWriteBytes(base, image));
+  platform.cpu().Reset(out->symbols.at("start"));
+  platform.cpu().set_reg(9, static_cast<uint32_t>(rounds));
+  platform.Run(1'000'000);
+  EXPECT_TRUE(platform.cpu().halted());
+  EXPECT_EQ(platform.cpu().reg(8), static_cast<uint32_t>(rounds));
+  return platform.cpu().stats();
+}
+
+TEST(FastPathPlacementTest, TrustletCodePagesDoNotEvictEachOther) {
+  const CpuStats few = RunPageHoppingLoops(4);
+  const CpuStats many = RunPageHoppingLoops(200);
+  ASSERT_GT(many.instructions, few.instructions * 40);
+  // Every miss is a cold miss: the footprint does not grow with the rounds.
+  EXPECT_EQ(many.decode_misses, few.decode_misses);
+  EXPECT_GT(many.fusion_groups, 0u);
+  EXPECT_EQ(many.fusion_invalidations, 0u);
+}
+
+// Count pin on the real fleet layout: one node provisioned with the FW
+// trustlet, the attestation trustlet and nanOS, run for a fixed number of
+// cycles. The counts are deterministic, so a placement or revalidation
+// regression in either instruction cache moves them exactly, whatever the
+// host's timing noise. (A page-blind `(ip >> 2)` slot index took 133,752
+// decode misses and 133,693 fusion invalidations on this run.) Refresh the
+// pin only for an intended change of the guest image or the caches.
+TEST(FastPathPlacementTest, FleetNodeCacheCountsArePinned) {
+  FleetConfig config;
+  config.nodes = 1;
+  config.seed = 1;
+  Fleet fleet(config);
+  Result<std::vector<NodeProvision>> provisions =
+      ProvisionAttestationFleet(&fleet, FleetProvisionConfig{});
+  ASSERT_TRUE(provisions.ok()) << provisions.status().ToString();
+  fleet.RunQuanta(100);  // 2M cycles at the default 20k-cycle quantum.
+  const CpuStats& stats = fleet.node(0).platform().cpu().stats();
+  EXPECT_EQ(stats.instructions, 855'226u);
+  EXPECT_EQ(stats.exceptions, 15'083u);
+  EXPECT_EQ(stats.decode_misses, 73u);
+  EXPECT_EQ(stats.fusion_builds, 73u);
+  EXPECT_EQ(stats.fusion_invalidations, 7u);
 }
 
 // ---------------------------------------------------------------------------
@@ -334,6 +449,36 @@ TEST(FastPathBusTest, HostByteRunsCrossDeviceBoundaries) {
   EXPECT_FALSE(bus.HostWriteBytes(0x11C0, pattern));
   // A run starting in unmapped space fails.
   EXPECT_FALSE(bus.HostReadBytes(0x0F80, 0x100, &readback));
+}
+
+// A host byte run over RAM is one copy from the device's backing store: it
+// returns the bytes guest word loads see, and reading is not a store, so
+// the memory generation (the instruction caches' store stamp) stays put.
+TEST(FastPathBusTest, HostRamRunMatchesGuestLoads) {
+  Bus bus;
+  Ram ram("ram", 0x1000, 0x1000);
+  bus.Attach(&ram);
+  std::vector<uint8_t> pattern(0x400);
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<uint8_t>(i * 13 + 5);
+  }
+  ASSERT_TRUE(bus.HostWriteBytes(0x1200, pattern));
+  const uint64_t gen = bus.memory_generation();
+  std::vector<uint8_t> run;
+  ASSERT_TRUE(bus.HostReadBytes(0x1200, 0x400, &run));
+  EXPECT_EQ(bus.memory_generation(), gen);
+  ASSERT_EQ(run, pattern);
+  AccessContext ctx;
+  ctx.kind = AccessKind::kRead;
+  ctx.privileged = true;
+  for (uint32_t off = 0; off < 0x400; off += 4) {
+    uint32_t word = 0;
+    ASSERT_EQ(bus.Read(ctx, 0x1200 + off, 4, &word), AccessResult::kOk);
+    EXPECT_EQ(word, uint32_t{run[off]} | uint32_t{run[off + 1]} << 8 |
+                        uint32_t{run[off + 2]} << 16 |
+                        uint32_t{run[off + 3]} << 24)
+        << "offset " << off;
+  }
 }
 
 TEST(FastPathBusTest, RouteMemoizationCountsHits) {
