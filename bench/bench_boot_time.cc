@@ -109,7 +109,7 @@ descriptor:
 // modes pay it identically.
 double FleetProvisionMillis(int nodes, bool warm_boot) {
   // Best of three: the first run pays one-time costs (CRC tables, page
-  // faults on fresh node memory) that BM_FleetProvision* amortize away.
+  // faults on fresh node memory) that repeated provisioning amortizes away.
   double best = 0.0;
   for (int round = 0; round < 3; ++round) {
     FleetConfig config;

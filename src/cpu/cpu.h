@@ -114,7 +114,9 @@ struct CpuConfig {
   // Host-side switch for superinstruction fusion over the decode cache
   // (pairs-and-quads of straight-line instructions retired from one fused
   // entry). Only effective inside Run()/RunUntilCycle() with the decode
-  // cache on; Step() always dispatches one instruction.
+  // cache on; Step() always dispatches one instruction. Platform overwrites
+  // decode_cache and fusion from PlatformConfig::fast_path / fusion, so a
+  // fusion-off trial on a Platform flips PlatformConfig::fusion.
   bool fusion = true;
   CycleModel cycles;
 };

@@ -55,8 +55,10 @@ struct PlatformConfig {
   // identical either way (DESIGN.md Sec. 10/11).
   bool fast_path = true;
   // Superinstruction fusion on top of the fast path (DESIGN.md §15). Split
-  // out so the dispatch-ladder benches can measure dispatch alone vs
-  // dispatch + fusion; no effect when fast_path is off.
+  // out so fusion_test and differential_test can run the fast path with
+  // fusion off; no effect when fast_path is off. The Platform constructor
+  // copies fast_path and fusion into CpuConfig, so this is the field a
+  // fusion-off trial flips.
   bool fusion = true;
 };
 

@@ -10,6 +10,14 @@
 #      (the re-anchor contract; a placeholder list fails).
 #   4. docs/README.md index completeness: every docs/*.md spec must be
 #      linked from the docs index (a new spec that nobody can find fails).
+#   5. Stale repo paths: every inline `code` span in README.md, DESIGN.md,
+#      EXPERIMENTS.md and docs/*.md that is a repo path (starts with src/,
+#      tools/, tests/, bench/, perfbench/, docs/ or examples/, or is a
+#      root-level *.json, *.sh or *.md name) must name something that
+#      exists. A `:line` suffix is dropped and one {a,b} group expanded
+#      first; globs must match; the path may also be a target name whose
+#      source adds .cc, .cpp or .sh. CHANGES.md and ROADMAP.md are history
+#      and are not checked.
 #
 # usage: tools/ci_docs.sh [src-dir] [tools-bin-dir]
 set -uo pipefail
@@ -92,8 +100,39 @@ if [[ "${open_items:-0}" -lt 1 ]]; then
   note "ROADMAP.md 'Open items' is empty — re-anchor it"
 fi
 
+# --- 5. stale repo paths in inline code spans -----------------------------
+# Fenced blocks are skipped (their commands name output files); lines are
+# joined first so a span may wrap.
+inline_spans() {
+  awk '/^ *```/ { fence = !fence; next }
+       !fence { text = text " " $0 }
+       END { n = split(text, part, "`"); for (i = 2; i <= n; i += 2) print part[i] }' "$1"
+}
+exists_in_repo() {
+  local suffix
+  for suffix in "" .cc .cpp .sh; do
+    compgen -G "$SRC/$1$suffix" > /dev/null && return 0
+  done
+  return 1
+}
+for md in "$SRC"/README.md "$SRC"/DESIGN.md "$SRC"/EXPERIMENTS.md "$SRC"/docs/*.md; do
+  while IFS= read -r span; do
+    path="${span%%:*}"
+    if [[ "$path" =~ ^(.*)\{([^,}]*),([^}]*)\}(.*)$ ]]; then
+      paths=("${BASH_REMATCH[1]}${BASH_REMATCH[2]}${BASH_REMATCH[4]}"
+             "${BASH_REMATCH[1]}${BASH_REMATCH[3]}${BASH_REMATCH[4]}")
+    else
+      paths=("$path")
+    fi
+    for p in "${paths[@]}"; do
+      exists_in_repo "$p" || note "${md#"$SRC"/} names \`$span\`, which does not exist"
+    done
+  done < <(inline_spans "$md" \
+           | grep -E '^(src|tools|tests|bench|perfbench|docs|examples)/[^[:space:]]*$|^[A-Za-z0-9_.-]+\.(json|sh|md)(:[^[:space:]]*)?$')
+done
+
 if [[ "$fail" -ne 0 ]]; then
   echo "ci_docs: FAILED"
   exit 1
 fi
-echo "ci_docs: all checks passed (links, --help drift, ROADMAP open items: $open_items)"
+echo "ci_docs: all checks passed (links, --help drift, repo paths, ROADMAP open items: $open_items)"
