@@ -538,9 +538,6 @@ Cpu::ExecOutcome Cpu::Execute(const Instruction& insn) {
 }
 
 bool Cpu::RecognizeIrq(StepEvent* event, uint64_t cycles_before) {
-  // IRQ-pending is device state: deferred ticks must land before the poll or
-  // a timer expiry inside the deferred span would be missed.
-  bus_->FlushTicks();
   Device* source = nullptr;
   if (!PendingIrq(&source)) {
     return false;
@@ -647,9 +644,6 @@ const Instruction* Cpu::FetchDecode(uint64_t cycles_before, uint32_t* word,
 StepEvent Cpu::ExecuteOne(const Instruction& insn, uint32_t word,
                           uint64_t cycles_before) {
   const uint32_t insn_addr = ip_;
-  if (trace_hook_) {
-    trace_hook_(insn_addr, insn);
-  }
   const ExecOutcome out = Execute(insn);
   cycles_ += out.cycles;
   prev_ip_ = insn_addr;
@@ -716,9 +710,6 @@ StepEvent Cpu::Step() {
       event = ExecuteOne(*insn, word, cycles_before);
     }
   }
-  // Single-stepping hands control back to a caller who may inspect devices
-  // directly; deferred ticks must not be visible across the boundary.
-  bus_->FlushTicks();
   return event;
 }
 
@@ -935,7 +926,6 @@ StepEvent Cpu::ExecuteFusedGroup(FusionEntry& entry, uint64_t max_instructions,
         break;
       }
       if ((flags_ & kFlagIf) != 0) {
-        bus_->FlushTicks();  // Pending-IRQ poll observes device time.
         Device* source = nullptr;
         if (PendingIrq(&source)) {
           break;  // Outer loop runs full interrupt recognition.
@@ -990,15 +980,11 @@ StepEvent Cpu::ExecuteFusedGroup(FusionEntry& entry, uint64_t max_instructions,
 }
 
 StepEvent Cpu::Run(uint64_t max_instructions) {
-  const StepEvent event = RunLoop(max_instructions, 0, false);
-  bus_->FlushTicks();  // Callers observe device state after a run.
-  return event;
+  return RunLoop(max_instructions, 0, false);
 }
 
 StepEvent Cpu::RunUntilCycle(uint64_t target_cycle) {
-  const StepEvent event = RunLoop(0, target_cycle, true);
-  bus_->FlushTicks();  // Callers observe device state after a run.
-  return event;
+  return RunLoop(0, target_cycle, true);
 }
 
 Cpu::ArchState Cpu::SaveArchState() const {

@@ -175,11 +175,6 @@ class Cpu {
   // engines, e.g. the Sancus MAC unit).
   void AddCycles(uint64_t cycles) { cycles_ += cycles; }
 
-  // Optional per-instruction trace hook, invoked before execution with the
-  // instruction's address and decoded form (debugger/CLI tooling).
-  using TraceHook = std::function<void(uint32_t ip, const Instruction&)>;
-  void SetTraceHook(TraceHook hook) { trace_hook_ = std::move(hook); }
-
   // Structured-event sink for the observability layer (normally the
   // Platform's EventHub; null = tracing off). `want_insn` gates the
   // per-retire InsnEvent separately so rare-event consumers keep the retire
@@ -458,7 +453,6 @@ class Cpu {
   CpuConfig config_;
   SancusHook sancus_hook_;
   InterruptGuard interrupt_guard_;
-  TraceHook trace_hook_;
   std::vector<Device*> irq_sources_;
 
   uint32_t regs_[kNumRegisters] = {};

@@ -84,9 +84,6 @@ AccessResult Bus::Read(const AccessContext& ctx, uint32_t addr, uint32_t width,
     EmitBusError(ctx, addr);
     return AccessResult::kBusError;
   }
-  if (lazy_ticks_ && !device->IsMemory()) {
-    FlushTicks();  // MMIO reads observe device time (timer count, sysctl).
-  }
   if (wait_states != nullptr) {
     *wait_states = device->WaitStates(addr - device->base(), width, ctx.kind);
   }
@@ -117,9 +114,6 @@ AccessResult Bus::Write(const AccessContext& ctx, uint32_t addr, uint32_t width,
     EmitBusError(ctx, addr);
     return AccessResult::kBusError;
   }
-  if (lazy_ticks_ && !device->IsMemory()) {
-    FlushTicks();  // MMIO writes interact with device time (timer ctrl).
-  }
   if (wait_states != nullptr) {
     *wait_states = device->WaitStates(addr - device->base(), width, ctx.kind);
   }
@@ -138,9 +132,6 @@ bool Bus::HostReadWord(uint32_t addr, uint32_t* value) {
   if (device == nullptr || (addr & 3) != 0) {
     return false;
   }
-  if (lazy_ticks_ && !device->IsMemory()) {
-    FlushTicks();
-  }
   return device->Read(addr - device->base(), 4, value) == AccessResult::kOk;
 }
 
@@ -148,9 +139,6 @@ bool Bus::HostWriteWord(uint32_t addr, uint32_t value) {
   Device* device = FindDevice(addr);
   if (device == nullptr || (addr & 3) != 0) {
     return false;
-  }
-  if (lazy_ticks_ && !device->IsMemory()) {
-    FlushTicks();
   }
   if (device->IsMemory()) {
     ++memory_generation_;
@@ -174,9 +162,6 @@ bool Bus::HostReadBytes(uint32_t addr, uint32_t count,
     Device* device = FindDevice(static_cast<uint32_t>(pos));
     if (device == nullptr) {
       return false;
-    }
-    if (lazy_ticks_ && !device->IsMemory()) {
-      FlushTicks();
     }
     // Read the whole run that falls inside this device without re-routing:
     // one copy from the host backing for memory, byte reads for MMIO.
@@ -210,9 +195,6 @@ bool Bus::HostWriteBytes(uint32_t addr, const std::vector<uint8_t>& bytes) {
     Device* device = FindDevice(static_cast<uint32_t>(pos));
     if (device == nullptr) {
       return false;
-    }
-    if (lazy_ticks_ && !device->IsMemory()) {
-      FlushTicks();
     }
     if (device->IsMemory()) {
       ++memory_generation_;
@@ -274,16 +256,7 @@ bool Bus::MemWindowFor(uint32_t addr, MemWindow* out) const {
   return true;
 }
 
-void Bus::TickDevicesNow(uint64_t cycles) {
-  for (Device* device : tick_devices_) {
-    device->Tick(cycles);
-  }
-}
-
 void Bus::ResetDevices() {
-  // Power-on wipes deferred time along with device state: applying pre-reset
-  // debt to freshly reset devices would be a time leak across the reset.
-  tick_debt_ = 0;
   for (Device* device : devices_) {
     device->Reset();
     // Power-on state includes the snapshot epoch: a reset device no longer

@@ -134,43 +134,16 @@ class Bus {
   const BusStats& stats() const { return stats_; }
 
   // Ticks every time-keeping device (Device::WantsTick) and resets them all
-  // (platform reset). In lazy mode (below) the cycles are accumulated as
-  // debt instead and applied in batch at the next observation point.
+  // (platform reset).
   void TickDevices(uint64_t cycles) {
-    if (lazy_ticks_) {
-      tick_debt_ += cycles;
-      return;
+    for (Device* device : tick_devices_) {
+      device->Tick(cycles);
     }
-    TickDevicesNow(cycles);
   }
   void ResetDevices();
 
-  // Lazy device ticking (DESIGN.md §15). Every tick-driven device on this
-  // bus advances linearly — Tick(a) then Tick(b) lands in exactly the state
-  // Tick(a+b) does (the timer's expiry loop handles multi-period spans) —
-  // so per-instruction ticks can be deferred and applied in one batch right
-  // before anything can observe device state: an access routed to a
-  // non-memory device, an IRQ-pending poll, or the run loop returning to
-  // the caller. Enabled only while no event sink is attached (the hub
-  // stamps IrqRaiseEvents with the emission-time cycle, so deferral would
-  // shift trace timestamps); disabling flushes any accumulated debt.
-  void SetLazyTicks(bool enabled) {
-    if (!enabled) {
-      FlushTicks();
-    }
-    lazy_ticks_ = enabled;
-  }
-  void FlushTicks() {
-    if (tick_debt_ != 0) {
-      const uint64_t debt = tick_debt_;
-      tick_debt_ = 0;
-      TickDevicesNow(debt);
-    }
-  }
-
  private:
   void EmitBusError(const AccessContext& ctx, uint32_t addr);
-  void TickDevicesNow(uint64_t cycles);
 
   std::vector<Device*> devices_;       // Sorted by base address.
   std::vector<Device*> tick_devices_;  // Subset with WantsTick().
@@ -178,8 +151,6 @@ class Bus {
   EventSink* sink_ = nullptr;
   uint64_t memory_generation_ = 1;
   uint64_t topology_generation_ = 1;
-  uint64_t tick_debt_ = 0;  // Deferred tick cycles (lazy mode only).
-  bool lazy_ticks_ = false;
   bool route_memo_ = true;
   mutable Device* last_device_ = nullptr;
   mutable BusStats stats_;

@@ -288,50 +288,38 @@ bool EaMpu::RuleAllows(const AccessContext& ctx, std::optional<int> subject,
   return false;
 }
 
-int EaMpu::SubjectFor(uint32_t ip) {
-  if (subject_cache_.gen == config_gen_ && ip >= subject_cache_.lo &&
-      ip < subject_cache_.hi) {
-    ++stats_.subject_hits;
-    return subject_cache_.subject;
-  }
-  ++stats_.subject_misses;
-  // Recompute FindCodeRegion(ip) and, alongside, the widest interval around
-  // `ip` in which the answer cannot change: shrink by the boundaries of
-  // every enabled code region scanned before the first match (first-match
+EaMpu::SubjectCache EaMpu::ScanSubject(uint32_t ip) const {
+  // FindCodeRegion(ip) and, alongside, the widest interval around `ip` in
+  // which the answer cannot change: shrink by the boundaries of every
+  // enabled code region scanned before the first match (first-match
   // precedence) — or of all of them when there is no match.
-  uint32_t lo = 0;
-  uint64_t hi = uint64_t{1} << 32;
-  int found = -1;
+  SubjectCache c;
+  c.gen = config_gen_;
+  c.hi = uint64_t{1} << 32;
   for (size_t i = 0; i < regions_.size(); ++i) {
     const MpuRegion& r = regions_[i];
     if (!r.enabled() || (r.attr & kMpuAttrCode) == 0) {
       continue;
     }
     if (r.Contains(ip)) {
-      found = static_cast<int>(i);
-      lo = std::max(lo, r.base);
-      hi = std::min<uint64_t>(hi, r.end);
+      c.subject = static_cast<int>(i);
+      c.lo = std::max(c.lo, r.base);
+      c.hi = std::min<uint64_t>(c.hi, r.end);
       break;
     }
     if (r.base > ip) {
-      hi = std::min<uint64_t>(hi, r.base);
+      c.hi = std::min<uint64_t>(c.hi, r.base);
     } else {
-      lo = std::max(lo, r.end);
+      c.lo = std::max(c.lo, r.end);
     }
   }
-  subject_cache_ = SubjectCache{config_gen_, lo, hi, found};
-  return found;
+  return c;
 }
 
-const EaMpu::CoverageCache& EaMpu::CoverageFor(uint32_t addr) {
-  if (coverage_cache_.gen == config_gen_ && addr >= coverage_cache_.lo &&
-      addr < coverage_cache_.hi) {
-    return coverage_cache_;
-  }
+EaMpu::CoverageCache EaMpu::ScanCoverage(uint32_t addr) const {
   CoverageCache c;
   c.gen = config_gen_;
-  uint32_t lo = 0;
-  uint64_t hi = uint64_t{1} << 32;
+  c.hi = uint64_t{1} << 32;
   for (size_t i = 0; i < regions_.size(); ++i) {
     const MpuRegion& r = regions_[i];
     if (!r.enabled()) {
@@ -343,17 +331,33 @@ const EaMpu::CoverageCache& EaMpu::CoverageFor(uint32_t addr) {
       } else {
         c.overflow = true;
       }
-      lo = std::max(lo, r.base);
-      hi = std::min<uint64_t>(hi, r.end);
+      c.lo = std::max(c.lo, r.base);
+      c.hi = std::min<uint64_t>(c.hi, r.end);
     } else if (r.base > addr) {
-      hi = std::min<uint64_t>(hi, r.base);
+      c.hi = std::min<uint64_t>(c.hi, r.base);
     } else {
-      lo = std::max(lo, r.end);
+      c.lo = std::max(c.lo, r.end);
     }
   }
-  c.lo = lo;
-  c.hi = hi;
-  coverage_cache_ = c;
+  return c;
+}
+
+int EaMpu::SubjectFor(uint32_t ip) {
+  if (subject_cache_.gen == config_gen_ && ip >= subject_cache_.lo &&
+      ip < subject_cache_.hi) {
+    ++stats_.subject_hits;
+    return subject_cache_.subject;
+  }
+  ++stats_.subject_misses;
+  subject_cache_ = ScanSubject(ip);
+  return subject_cache_.subject;
+}
+
+const EaMpu::CoverageCache& EaMpu::CoverageFor(uint32_t addr) {
+  if (coverage_cache_.gen != config_gen_ || addr < coverage_cache_.lo ||
+      addr >= coverage_cache_.hi) {
+    coverage_cache_ = ScanCoverage(addr);
+  }
   return coverage_cache_;
 }
 
@@ -476,62 +480,32 @@ bool EaMpu::DataWindowFor(uint32_t subject_ip, bool privileged, bool is_write,
     // generation, so the full-address window cannot outlive the disable.
     return true;
   }
-  // Subject resolution with its constancy interval — the uncached twin of
-  // SubjectFor (this query must not move the shared caches or stats).
-  int subject = -1;
-  for (size_t i = 0; i < regions_.size(); ++i) {
-    const MpuRegion& r = regions_[i];
-    if (!r.enabled() || (r.attr & kMpuAttrCode) == 0) {
-      continue;
-    }
-    if (r.Contains(subject_ip)) {
-      subject = static_cast<int>(i);
-      *subj_lo = std::max(*subj_lo, r.base);
-      *subj_hi = std::min<uint64_t>(*subj_hi, r.end);
-      break;
-    }
-    if (r.base > subject_ip) {
-      *subj_hi = std::min<uint64_t>(*subj_hi, r.base);
-    } else {
-      *subj_lo = std::max(*subj_lo, r.end);
-    }
+  // The cache fill scans, run without touching the caches or stats. Within
+  // [lo, hi) the covering-region set is constant and data rules never
+  // consult the address, so one decision settles the whole interval.
+  const SubjectCache subject = ScanSubject(subject_ip);
+  *subj_lo = subject.lo;
+  *subj_hi = subject.hi;
+  const CoverageCache coverage = ScanCoverage(addr);
+  if (coverage.overflow) {
+    return false;  // Too tangled to summarize; callers use the full path.
   }
-  // Coverage of `addr` with its constancy interval — the uncached twin of
-  // CoverageFor. Within [lo, hi) the covering-region set is constant and
-  // data rules never consult the address, so one decision settles the whole
-  // interval.
-  int covering[kMaxCoverage];
-  int count = 0;
-  for (size_t i = 0; i < regions_.size(); ++i) {
-    const MpuRegion& r = regions_[i];
-    if (!r.enabled()) {
-      continue;
-    }
-    if (r.Contains(addr)) {
-      if (count == kMaxCoverage) {
-        return false;  // Too tangled to summarize; callers use the full path.
-      }
-      covering[count++] = static_cast<int>(i);
-      *lo = std::max(*lo, r.base);
-      *hi = std::min<uint64_t>(*hi, r.end);
-    } else if (r.base > addr) {
-      *hi = std::min<uint64_t>(*hi, r.base);
-    } else {
-      *lo = std::max(*lo, r.end);
-    }
-  }
-  if (count == 0) {
+  *lo = coverage.lo;
+  *hi = coverage.hi;
+  if (coverage.count == 0) {
     return true;  // Uncovered background memory is open.
   }
   AccessContext ctx;
   ctx.curr_ip = subject_ip;
   ctx.kind = is_write ? AccessKind::kWrite : AccessKind::kRead;
   ctx.privileged = privileged;
-  const std::optional<int> subj =
-      subject >= 0 ? std::optional<int>(subject) : std::nullopt;
-  for (int i = 0; i < count; ++i) {
-    if (RuleAllows(ctx, subj, covering[i],
-                   regions_[static_cast<size_t>(covering[i])].base)) {
+  const std::optional<int> subj = subject.subject >= 0
+                                      ? std::optional<int>(subject.subject)
+                                      : std::nullopt;
+  for (int i = 0; i < coverage.count; ++i) {
+    const int object = coverage.regions[i];
+    if (RuleAllows(ctx, subj, object,
+                   regions_[static_cast<size_t>(object)].base)) {
       return true;
     }
   }

@@ -228,7 +228,14 @@ class EaMpu : public Device, public ProtectionUnit {
   // Subject resolution: FindCodeRegion(ip) memoized together with the
   // largest interval [lo, hi) around ip over which the answer is constant
   // given the current region bank (accounts for first-match precedence).
-  int SubjectFor(uint32_t ip);  // Region index, or -1 for "unprotected".
+  struct SubjectCache {
+    uint64_t gen = 0;
+    uint32_t lo = 0;
+    uint64_t hi = 0;  // Exclusive.
+    int subject = -1;  // Region index, or -1 for "unprotected".
+  };
+  SubjectCache ScanSubject(uint32_t ip) const;  // Uncached fill.
+  int SubjectFor(uint32_t ip);
   // Object coverage: the set of enabled regions containing an address,
   // memoized with its constancy interval.
   struct CoverageCache {
@@ -240,6 +247,7 @@ class EaMpu : public Device, public ProtectionUnit {
     uint8_t regions[8];
   };
   static constexpr int kMaxCoverage = 8;
+  CoverageCache ScanCoverage(uint32_t addr) const;  // Uncached fill.
   const CoverageCache& CoverageFor(uint32_t addr);
   // Memoized RuleAllows for data accesses (address-independent).
   bool DataRuleAllows(const AccessContext& ctx, int subject, int object);
@@ -247,12 +255,6 @@ class EaMpu : public Device, public ProtectionUnit {
   bool FetchCheckPasses(const AccessContext& ctx, int subject, uint32_t addr);
   void BumpConfigGen() { ++config_gen_; }
 
-  struct SubjectCache {
-    uint64_t gen = 0;
-    uint32_t lo = 0;
-    uint64_t hi = 0;  // Exclusive.
-    int subject = -1;
-  };
   struct DecisionEntry {
     uint64_t gen = 0;
     uint32_t key = 0;

@@ -81,9 +81,6 @@ class ChromeTraceWriter : public EventSink {
   // array. Calls Finish().
   void AppendEvents(std::string* out, bool* first);
 
-  // Serializes to `path`; returns false on I/O error.
-  bool WriteFile(const std::string& path);
-
   size_t event_count() const { return records_.size(); }
   size_t dropped() const { return dropped_; }
 

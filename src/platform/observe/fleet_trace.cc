@@ -49,17 +49,6 @@ std::string FleetTraceAggregator::Json() {
   return out;
 }
 
-bool FleetTraceAggregator::WriteFile(const std::string& path) {
-  const std::string json = Json();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const int close_rc = std::fclose(f);
-  return written == json.size() && close_rc == 0;
-}
-
 std::string FormatFleetStats(const std::vector<FleetNodeStatsRow>& rows,
                              double elapsed_seconds) {
   std::string out =

@@ -40,9 +40,6 @@ class FleetTraceAggregator {
   // Merged trace document: one traceEvents array, one process per node.
   std::string Json();
 
-  // Serializes the merged document to `path`; returns false on I/O error.
-  bool WriteFile(const std::string& path);
-
   size_t node_count() const { return writers_.size(); }
   size_t event_count() const;
   size_t dropped() const;

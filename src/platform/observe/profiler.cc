@@ -138,11 +138,6 @@ void TrustletProfiler::Clear() {
   }
   current_ = -1;
   resets_ = 0;
-  fp_decode_hits_ = 0;
-  fp_decode_misses_ = 0;
-  fp_fusion_groups_ = 0;
-  fp_fusion_retired_ = 0;
-  fp_total_retired_ = 0;
 }
 
 std::string TrustletProfiler::ToString() const {
@@ -176,38 +171,7 @@ std::string TrustletProfiler::ToString() const {
                 "\n",
                 os, pct(os), tl, pct(tl), un, pct(un), total);
   out += line;
-  if (fp_decode_hits_ + fp_decode_misses_ + fp_fusion_groups_ +
-          fp_fusion_retired_ !=
-      0) {
-    const uint64_t decode_total = fp_decode_hits_ + fp_decode_misses_;
-    std::snprintf(
-        line, sizeof(line),
-        "fast-path: decode hit-rate %.1f%%  fused retires %" PRIu64
-        " of %" PRIu64 " (%.1f%%)  groups %" PRIu64 "\n",
-        decode_total == 0 ? 0.0
-                          : 100.0 * static_cast<double>(fp_decode_hits_) /
-                                static_cast<double>(decode_total),
-        fp_fusion_retired_, fp_total_retired_,
-        fp_total_retired_ == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(fp_fusion_retired_) /
-                  static_cast<double>(fp_total_retired_),
-        fp_fusion_groups_);
-    out += line;
-  }
   return out;
-}
-
-void TrustletProfiler::SetFastPathCounters(uint64_t decode_hits,
-                                           uint64_t decode_misses,
-                                           uint64_t fusion_groups,
-                                           uint64_t fusion_retired,
-                                           uint64_t total_retired) {
-  fp_decode_hits_ = decode_hits;
-  fp_decode_misses_ = decode_misses;
-  fp_fusion_groups_ = fusion_groups;
-  fp_fusion_retired_ = fusion_retired;
-  fp_total_retired_ = total_retired;
 }
 
 }  // namespace trustlite

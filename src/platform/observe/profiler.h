@@ -80,15 +80,6 @@ class TrustletProfiler : public EventSink {
 
   void Clear();  // Zeroes counters, keeps the lane configuration.
 
-  // Host fast-path telemetry for the summary footer: decode-cache hit rate,
-  // fusion hit rate (share of retires from fused groups) and fused-retire
-  // counts. Attached by the driver from Platform::fast_path_stats() — plain
-  // integers so the profiler stays free of a platform.h dependency. The
-  // footer is omitted while all counters are zero.
-  void SetFastPathCounters(uint64_t decode_hits, uint64_t decode_misses,
-                           uint64_t fusion_groups, uint64_t fusion_retired,
-                           uint64_t total_retired);
-
   // Human-readable table (tlsim --profile).
   std::string ToString() const;
 
@@ -99,11 +90,6 @@ class TrustletProfiler : public EventSink {
   std::vector<LaneProfile> lanes_ = {LaneProfile{"untrusted"}};
   int current_ = -1;  // Lane of the last retired instruction.
   uint64_t resets_ = 0;
-  uint64_t fp_decode_hits_ = 0;
-  uint64_t fp_decode_misses_ = 0;
-  uint64_t fp_fusion_groups_ = 0;
-  uint64_t fp_fusion_retired_ = 0;
-  uint64_t fp_total_retired_ = 0;
 };
 
 }  // namespace trustlite

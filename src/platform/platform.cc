@@ -57,9 +57,6 @@ Platform::Platform(const PlatformConfig& config) : config_(config) {
     bus_.SetProtectionUnit(mpu_.get());
   }
   bus_.SetRouteMemo(config.fast_path);
-  // Lazy ticking is legal only while no event sink is attached (see bus.h);
-  // the hub starts empty, and RewireEventSinks re-evaluates on every change.
-  bus_.SetLazyTicks(config.fast_path);
 
   CpuConfig cpu_config;
   cpu_config.secure_exceptions = config.secure_exceptions;
@@ -141,9 +138,6 @@ void Platform::RewireEventSinks() {
   // per-fetch MpuCheckEvent consumer; fall back to unfused dispatch while
   // one is attached.
   cpu_->SetFusionSuppressed(sink != nullptr && hub_.AnyWantsMpuCheckEvents());
-  // The hub stamps IrqRaiseEvents at emission time, so deferring device
-  // ticks would skew trace timestamps; eager ticking while any sink is on.
-  bus_.SetLazyTicks(config_.fast_path && sink == nullptr);
   bus_.SetEventSink(sink);
   uart_->SetEventSink(sink);
   timer_->SetEventSink(sink);
@@ -164,23 +158,6 @@ StepEvent Platform::Run(uint64_t max_instructions) {
 StepEvent Platform::RunUntilCycle(uint64_t target_cycle) {
   AssertThreadAffinity();
   return cpu_->RunUntilCycle(target_cycle);
-}
-
-FastPathStats Platform::fast_path_stats() const {
-  FastPathStats stats;
-  stats.bus = bus_.stats();
-  stats.decode_hits = cpu_->stats().decode_hits;
-  stats.decode_misses = cpu_->stats().decode_misses;
-  stats.fusion_groups = cpu_->stats().fusion_groups;
-  stats.fusion_retired = cpu_->stats().fusion_retired;
-  stats.fusion_builds = cpu_->stats().fusion_builds;
-  stats.fusion_invalidations = cpu_->stats().fusion_invalidations;
-  stats.data_window_hits = cpu_->stats().data_window_hits;
-  stats.data_window_misses = cpu_->stats().data_window_misses;
-  if (mpu_ != nullptr) {
-    stats.mpu = mpu_->stats();
-  }
-  return stats;
 }
 
 bool Platform::RunUntilIp(uint32_t target_ip, uint64_t max_steps) {

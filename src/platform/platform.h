@@ -49,7 +49,7 @@ struct PlatformConfig {
   bool with_dma = false;
   DmaEngine::Mode dma_mode = DmaEngine::Mode::kExecutionAware;
   // Host-side simulator fast path (decode cache, data-access windows,
-  // EA-MPU decision caches, bus routing memo, lazy device ticks). Disabled
+  // EA-MPU decision caches, bus routing memo). Disabled
   // by the differential-execution harness to pit the cached interpreter
   // against the uncached reference; guest-visible behavior must be
   // identical either way (DESIGN.md Sec. 10/11).
@@ -60,24 +60,6 @@ struct PlatformConfig {
   // copies fast_path and fusion into CpuConfig, so this is the field a
   // fusion-off trial flips.
   bool fusion = true;
-};
-
-// Aggregated fast-path cache counters (bus routing, decode cache, EA-MPU
-// subject/decision/fetch caches). Host-side simulation telemetry, surfaced
-// by `tlsim run --stats`.
-struct FastPathStats {
-  BusStats bus;
-  uint64_t decode_hits = 0;
-  uint64_t decode_misses = 0;
-  // Superinstruction fusion counters (see CpuStats in cpu.h).
-  uint64_t fusion_groups = 0;
-  uint64_t fusion_retired = 0;
-  uint64_t fusion_builds = 0;
-  uint64_t fusion_invalidations = 0;
-  // Data-access window counters (see CpuStats in cpu.h).
-  uint64_t data_window_hits = 0;
-  uint64_t data_window_misses = 0;
-  MpuStats mpu;  // Zeroed when the platform has no MPU.
 };
 
 class Platform {
@@ -131,11 +113,6 @@ class Platform {
   // `max_steps`). Returns true if the target was reached. Used by benches to
   // measure simulated-cycle intervals between program points.
   bool RunUntilIp(uint32_t target_ip, uint64_t max_steps);
-
-  // Snapshot of all simulation fast-path counters. Semantics across
-  // HardReset: cumulative, like CpuStats (see cpu.h) — HardReset clears
-  // architectural device/CPU state but no host-side telemetry counters.
-  FastPathStats fast_path_stats() const;
 
   // --- Observability (DESIGN.md §12) ---
   // Registers `sink` with the platform's EventHub and (re)wires every

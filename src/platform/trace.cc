@@ -26,6 +26,9 @@ const char* TraceEventTypeName(TraceEventType type) {
 }
 
 void ExecutionTracer::Record(const TraceEvent& event) {
+  if (echo_ != nullptr) {
+    std::fputs(FormatTraceEvent(event).c_str(), echo_);
+  }
   events_.push_back(event);
   while (events_.size() > capacity_) {
     events_.pop_front();
@@ -95,48 +98,44 @@ StepEvent ExecutionTracer::Run(Platform* platform, uint64_t max_instructions) {
   return last;
 }
 
+std::string FormatTraceEvent(const TraceEvent& event) {
+  const unsigned long long cycle = event.cycle;
+  char line[160] = "";
+  switch (event.type) {
+    case TraceEventType::kInstruction:
+      std::snprintf(line, sizeof(line), "%10llu  insn  %08x  %s\n", cycle,
+                    event.ip, DisassembleWord(event.detail, event.ip).c_str());
+      break;
+    case TraceEventType::kException:
+    case TraceEventType::kInterrupt:
+      std::snprintf(line, sizeof(line), "%10llu  %s  %08x  -> handler %08x\n",
+                    cycle, TraceEventTypeName(event.type), event.ip,
+                    event.detail);
+      break;
+    case TraceEventType::kHalt:
+      std::snprintf(line, sizeof(line), "%10llu  halt  %08x  %s\n", cycle,
+                    event.ip,
+                    event.detail == 0xFFFFFFFFu ? "(clean)" : "(trap)");
+      break;
+    case TraceEventType::kUartTx: {
+      const char c = static_cast<char>(event.detail);
+      std::snprintf(line, sizeof(line), "%10llu  uart  %08x  0x%02x '%c'\n",
+                    cycle, event.ip, event.detail,
+                    (c >= 0x20 && c < 0x7F) ? c : '.');
+      break;
+    }
+  }
+  return line;
+}
+
 std::string ExecutionTracer::Dump(size_t last) const {
   std::ostringstream out;
   size_t start = 0;
   if (last != 0 && events_.size() > last) {
     start = events_.size() - last;
   }
-  char line[160];
   for (size_t i = start; i < events_.size(); ++i) {
-    const TraceEvent& event = events_[i];
-    switch (event.type) {
-      case TraceEventType::kInstruction:
-        std::snprintf(line, sizeof(line), "%10llu  insn  %08x  %s\n",
-                      static_cast<unsigned long long>(event.cycle), event.ip,
-                      DisassembleWord(event.detail, event.ip).c_str());
-        break;
-      case TraceEventType::kException:
-        std::snprintf(line, sizeof(line),
-                      "%10llu  exc   %08x  -> handler %08x\n",
-                      static_cast<unsigned long long>(event.cycle), event.ip,
-                      event.detail);
-        break;
-      case TraceEventType::kInterrupt:
-        std::snprintf(line, sizeof(line),
-                      "%10llu  irq   %08x  -> handler %08x\n",
-                      static_cast<unsigned long long>(event.cycle), event.ip,
-                      event.detail);
-        break;
-      case TraceEventType::kHalt:
-        std::snprintf(line, sizeof(line), "%10llu  halt  %08x  %s\n",
-                      static_cast<unsigned long long>(event.cycle), event.ip,
-                      event.detail == 0xFFFFFFFFu ? "(clean)" : "(trap)");
-        break;
-      case TraceEventType::kUartTx: {
-        const char c = static_cast<char>(event.detail);
-        std::snprintf(line, sizeof(line), "%10llu  uart  %08x  0x%02x '%c'\n",
-                      static_cast<unsigned long long>(event.cycle), event.ip,
-                      event.detail,
-                      (c >= 0x20 && c < 0x7F) ? c : '.');
-        break;
-      }
-    }
-    out << line;
+    out << FormatTraceEvent(events_[i]);
   }
   return out.str();
 }

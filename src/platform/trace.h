@@ -14,11 +14,14 @@
 //   std::puts(tracer.Dump().c_str());
 //
 // One tracer observes one platform; Detach() (or destruction) unregisters.
+// SetEcho() streams each event line as it is recorded (`tlsim run --trace`
+// echoes to stderr); the ring and Dump() are unaffected.
 
 #ifndef TRUSTLITE_SRC_PLATFORM_TRACE_H_
 #define TRUSTLITE_SRC_PLATFORM_TRACE_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <deque>
 #include <string>
 
@@ -43,6 +46,10 @@ struct TraceEvent {
   uint32_t ip = 0;
   uint32_t detail = 0;
 };
+
+// One newline-terminated text line per event (instructions disassembled);
+// shared by Dump() and the echo stream.
+std::string FormatTraceEvent(const TraceEvent& event);
 
 // Tracer-side event totals. Cumulative across Run calls and across
 // Platform::HardReset (Clear() zeroes them); `instructions` counts
@@ -70,6 +77,10 @@ class ExecutionTracer : public EventSink {
   // something else entirely.
   void Attach(Platform* platform);
   void Detach();
+
+  // Writes every recorded event's line to `out` as it is recorded (null =
+  // off). Ring capacity does not limit the stream.
+  void SetEcho(std::FILE* out) { echo_ = out; }
 
   // Steps the platform until halt or `max_instructions` step iterations.
   // May be called repeatedly; events accumulate (oldest dropped beyond
@@ -103,6 +114,7 @@ class ExecutionTracer : public EventSink {
   size_t capacity_;
   bool record_instructions_;
   Platform* platform_ = nullptr;
+  std::FILE* echo_ = nullptr;
   std::deque<TraceEvent> events_;
   TraceCounts counts_;
 };

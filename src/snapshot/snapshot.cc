@@ -806,33 +806,4 @@ Result<std::vector<std::string>> DiffSnapshots(
   return diffs;
 }
 
-Status WriteSnapshotFile(const std::string& path,
-                         const std::vector<uint8_t>& snapshot) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Internal("cannot open '" + path + "' for writing");
-  }
-  const size_t written = std::fwrite(snapshot.data(), 1, snapshot.size(), f);
-  const int close_rc = std::fclose(f);
-  if (written != snapshot.size() || close_rc != 0) {
-    return Internal("short write to '" + path + "'");
-  }
-  return OkStatus();
-}
-
-Result<std::vector<uint8_t>> ReadSnapshotFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return InvalidArgument("cannot open snapshot file '" + path + "'");
-  }
-  std::vector<uint8_t> bytes;
-  uint8_t buf[64 * 1024];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  return bytes;
-}
-
 }  // namespace trustlite

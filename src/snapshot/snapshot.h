@@ -129,11 +129,6 @@ Result<SnapshotInfo> InspectSnapshot(const std::vector<uint8_t>& snapshot);
 Result<std::vector<std::string>> DiffSnapshots(
     const std::vector<uint8_t>& a, const std::vector<uint8_t>& b);
 
-// File helpers for the CLI tools.
-Status WriteSnapshotFile(const std::string& path,
-                         const std::vector<uint8_t>& snapshot);
-Result<std::vector<uint8_t>> ReadSnapshotFile(const std::string& path);
-
 }  // namespace trustlite
 
 #endif  // TRUSTLITE_SRC_SNAPSHOT_SNAPSHOT_H_

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 
 #include "src/common/bytes.h"
 #include "src/common/crc32.h"
@@ -353,33 +352,6 @@ Result<FirmwareContainerInfo> InspectFirmware(
     info.chunks.push_back(std::move(ci));
   }
   return info;
-}
-
-Status WriteFirmwareFile(const std::string& path,
-                         const std::vector<uint8_t>& container) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Internal("tlfw: cannot open for writing: " + path);
-  }
-  out.write(reinterpret_cast<const char*>(container.data()),
-            static_cast<std::streamsize>(container.size()));
-  if (!out) {
-    return Internal("tlfw: write failed: " + path);
-  }
-  return OkStatus();
-}
-
-Result<std::vector<uint8_t>> ReadFirmwareFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return NotFound("tlfw: cannot open: " + path);
-  }
-  std::vector<uint8_t> data((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return Internal("tlfw: read failed: " + path);
-  }
-  return data;
 }
 
 }  // namespace trustlite

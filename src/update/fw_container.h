@@ -110,11 +110,6 @@ struct FirmwareContainerInfo {
 Result<FirmwareContainerInfo> InspectFirmware(
     const std::vector<uint8_t>& container);
 
-// File helpers for the CLI tools.
-Status WriteFirmwareFile(const std::string& path,
-                         const std::vector<uint8_t>& container);
-Result<std::vector<uint8_t>> ReadFirmwareFile(const std::string& path);
-
 }  // namespace trustlite
 
 #endif  // TRUSTLITE_SRC_UPDATE_FW_CONTAINER_H_

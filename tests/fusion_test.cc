@@ -285,10 +285,6 @@ buf:
   const CpuStats& stats = platform.cpu().stats();
   EXPECT_GT(stats.data_window_hits, 0u);
   EXPECT_GT(stats.data_window_misses, 0u);  // At least the first touch.
-  // And the platform-level snapshot carries the same counters.
-  const FastPathStats fp = platform.fast_path_stats();
-  EXPECT_EQ(fp.data_window_hits, stats.data_window_hits);
-  EXPECT_EQ(fp.data_window_misses, stats.data_window_misses);
 }
 
 }  // namespace

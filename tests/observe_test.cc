@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/bytes.h"
 #include "src/isa/assembler.h"
 #include "src/loader/system_image.h"
 #include "src/os/nanos.h"
@@ -21,6 +22,7 @@
 #include "src/platform/observe/profiler.h"
 #include "src/platform/platform.h"
 #include "src/platform/trace.h"
+#include "src/snapshot/snapshot.h"
 #include "src/trustlet/builder.h"
 
 namespace trustlite {
@@ -346,6 +348,140 @@ TEST(ChromeTraceTest, EventCapCountsDropsAndStaysValid) {
   std::string error;
   EXPECT_TRUE(JsonParses(json, &error)) << error;
   EXPECT_NE(json.find("\"dropped\":"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Tracing purity: attaching a sink must not change what the guest does.
+// Each sink class switches on a different path — InsnEvents (profiler,
+// instruction-recording tracer) and MpuCheckEvents, which suppress fusion
+// and data windows — so all four runs must agree on the full platform
+// state, the clocks and the UART stream.
+
+struct MpuCheckCounter : EventSink {
+  bool WantsMpuCheckEvents() const override { return true; }
+  void OnMpuCheck(const MpuCheckEvent&) override { ++checks; }
+  uint64_t checks = 0;
+};
+
+// nanOS preempting every 400 cycles: two trustlets loop over loads and
+// stores to their data regions, a third prints through the OS putc service
+// (call/ACK continuation, as in nanos_test).
+std::unique_ptr<PreemptiveSystem> BuildPrintingPreemptiveSystem() {
+  auto sys = std::make_unique<PreemptiveSystem>();
+  SystemImage image;
+  for (int i = 0; i < 3; ++i) {
+    TrustletBuildSpec spec;
+    spec.name = "T" + std::to_string(i);
+    spec.code_addr = 0x11000 + static_cast<uint32_t>(i) * 0x2000;
+    spec.data_addr = 0x12000 + static_cast<uint32_t>(i) * 0x2000;
+    spec.data_size = 0x400;
+    spec.stack_size = 0x100;
+    spec.body = i < 2 ? R"(
+tl_main:
+    li   r3, TL_DATA
+loop:
+    ldw  r1, [r3 + 4]
+    addi r1, r1, 3
+    stw  r1, [r3 + 4]
+    xor  r2, r2, r1
+    stw  r2, [r3 + 8]
+    jmp  loop
+)"
+                      : R"(
+.equ CONT_SLOT, TL_DATA + 0
+.equ CHAR_SLOT, TL_DATA + 4
+tl_main:
+print:
+    la   r4, CONT_SLOT
+    la   r5, after
+    stw  r5, [r4]
+    la   r4, CHAR_SLOT
+    ldw  r1, [r4]
+    addi r1, r1, 1
+    andi r1, r1, 15
+    stw  r1, [r4]
+    addi r1, r1, 97        ; 'a' + counter
+    movi r0, 4             ; putc
+    la   r2, tl_entry      ; ACK continuation target (our entry vector)
+    li   r6, 0x20000       ; nanOS entry vector
+    cli                    ; no preemption between here and the service
+    jr   r6
+after:
+    sti                    ; the service masked interrupts
+    jmp  print
+tl_handle_call:
+    la   r15, CONT_SLOT
+    ldw  r15, [r15]
+    jr   r15
+)";
+    Result<TrustletMeta> tl = BuildTrustlet(spec);
+    if (!tl.ok()) return nullptr;
+    image.Add(*tl);
+  }
+  NanosConfig os_config;
+  os_config.timer_period = 400;
+  image.Add(*BuildNanos(os_config));
+  if (!sys->platform.InstallImage(image).ok()) return nullptr;
+  Result<LoadReport> report = sys->platform.BootAndLaunch();
+  if (!report.ok()) return nullptr;
+  sys->report = *report;
+  return sys;
+}
+
+struct GuestOutcome {
+  std::string digest;
+  uint64_t cycles = 0;
+  uint64_t instructions = 0;
+  uint64_t exceptions = 0;
+  std::string uart;
+};
+
+GuestOutcome RunWithSink(EventSink* sink) {
+  auto sys = BuildPrintingPreemptiveSystem();
+  EXPECT_NE(sys, nullptr);
+  if (sys == nullptr) return {};
+  Platform& platform = sys->platform;
+  if (sink != nullptr) platform.AddEventSink(sink);
+  // Several Run calls, so run-boundary and mid-run device time both count.
+  for (int i = 0; i < 8; ++i) platform.Run(25'000);
+  if (sink != nullptr) platform.RemoveEventSink(sink);
+  const Cpu& cpu = platform.cpu();
+  EXPECT_FALSE(cpu.halted());
+  const Sha256Digest digest = PlatformStateDigest(platform);
+  return {HexEncode(digest.data(), digest.size()), cpu.cycles(),
+          cpu.stats().instructions, cpu.stats().exceptions,
+          platform.uart().output()};
+}
+
+TEST(TracingPurityTest, SinksDoNotChangeGuestBehaviour) {
+  const GuestOutcome bare = RunWithSink(nullptr);
+  ASSERT_FALSE(bare.digest.empty());
+  EXPECT_EQ(bare.instructions, 200'000u);
+  EXPECT_GT(bare.exceptions, 100u);     // Timer preemptions and calls.
+  EXPECT_GT(bare.uart.size(), 10u);     // The printer made progress.
+  EXPECT_NE(bare.uart.find("abcdefghijklmnop"), std::string::npos);
+
+  TrustletProfiler profiler;
+  ExecutionTracer tracer(/*capacity=*/16, /*record_instructions=*/true);
+  MpuCheckCounter mpu_checks;
+  const std::pair<const char*, EventSink*> sinks[] = {
+      {"profiler", &profiler},
+      {"tracer", &tracer},
+      {"mpu-checks", &mpu_checks},
+  };
+  for (const auto& [name, sink] : sinks) {
+    SCOPED_TRACE(name);
+    const GuestOutcome traced = RunWithSink(sink);
+    EXPECT_EQ(traced.digest, bare.digest);
+    EXPECT_EQ(traced.cycles, bare.cycles);
+    EXPECT_EQ(traced.instructions, bare.instructions);
+    EXPECT_EQ(traced.exceptions, bare.exceptions);
+    EXPECT_EQ(traced.uart, bare.uart);
+  }
+  // Each sink saw its stream.
+  EXPECT_GT(profiler.total_cycles(), 0u);
+  EXPECT_EQ(tracer.counts().instructions, bare.instructions);
+  EXPECT_GT(mpu_checks.checks, bare.instructions);
 }
 
 // ---------------------------------------------------------------------------

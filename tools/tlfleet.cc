@@ -43,13 +43,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/file_io.h"
 #include "src/fleet/attest.h"
 #include "src/fleet/control.h"
 #include "src/fleet/fleet.h"
@@ -350,25 +349,14 @@ bool ParseOptions(const Subcommand& sub, const std::vector<std::string>& args,
   return true;
 }
 
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
+// Writes one output file (transcript, status JSON, trace JSON); reports the
+// failure on stderr.
+bool WriteOutput(const std::string& path, const std::string& text) {
+  const Status written = WriteFileBytes(path, text.data(), text.size());
+  if (!written.ok()) {
+    std::fprintf(stderr, "tlfleet: %s\n", written.ToString().c_str());
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
-bool WriteFile(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "tlfleet: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << text;
-  return true;
+  return written.ok();
 }
 
 std::string DigestHex(const Sha256Digest& digest) {
@@ -383,12 +371,13 @@ std::string DigestHex(const Sha256Digest& digest) {
 
 // Assembles the guest program (workload image / measured FW payload).
 bool AssembleGuest(const std::string& path, AsmOutput* out) {
-  std::string source;
-  if (!ReadFile(path, &source)) {
-    std::fprintf(stderr, "tlfleet: cannot read %s\n", path.c_str());
+  Result<std::vector<uint8_t>> source = ReadFileBytes(path);
+  if (!source.ok()) {
+    std::fprintf(stderr, "tlfleet: %s\n", source.status().ToString().c_str());
     return false;
   }
-  Result<AsmOutput> guest = Assemble(source, kGuestOrigin);
+  Result<AsmOutput> guest =
+      Assemble(std::string(source->begin(), source->end()), kGuestOrigin);
   if (!guest.ok()) {
     std::fprintf(stderr, "tlfleet: %s\n", guest.status().ToString().c_str());
     return false;
@@ -480,7 +469,7 @@ int CmdRound(Command command, const Options& opt, const AsmOutput& guest,
   std::vector<std::vector<uint8_t>> update_containers;
   uint32_t update_capacity = 0;
   for (const std::string& path : opt.update_images) {
-    Result<std::vector<uint8_t>> bytes = ReadFirmwareFile(path);
+    Result<std::vector<uint8_t>> bytes = ReadFileBytes(path);
     if (!bytes.ok()) {
       std::fprintf(stderr, "tlfleet: %s\n",
                    bytes.status().ToString().c_str());
@@ -675,7 +664,7 @@ int CmdRound(Command command, const Options& opt, const AsmOutput& guest,
       full += header;
       full += campaigns[k]->transcript();
     }
-    if (!WriteFile(opt.transcript, full)) {
+    if (!WriteOutput(opt.transcript, full)) {
       return 1;
     }
     if (!opt.quiet) {
@@ -690,13 +679,12 @@ int CmdRound(Command command, const Options& opt, const AsmOutput& guest,
       fleet.node(i).platform().RemoveEventSink(
           node_writers[static_cast<size_t>(i)]);
     }
-    if (!aggregator.WriteFile(opt.trace_json)) {
-      std::fprintf(stderr, "tlfleet: cannot write %s\n",
-                   opt.trace_json.c_str());
+    const std::string json = aggregator.Json();
+    if (!WriteOutput(opt.trace_json, json)) {
       return 1;
     }
     std::string json_error;
-    const bool valid = JsonParses(aggregator.Json(), &json_error);
+    const bool valid = JsonParses(json, &json_error);
     if (!opt.quiet) {
       std::printf("trace-json: wrote %s (%zu nodes, %zu events, %s)\n",
                   opt.trace_json.c_str(), aggregator.node_count(),
@@ -799,7 +787,7 @@ int CmdServe(const Options& opt, const std::vector<uint8_t>& guest_image) {
     for (const std::string& epoch : controller.status_epochs()) {
       lines += epoch + '\n';
     }
-    if (!WriteFile(opt.status_json, lines)) {
+    if (!WriteOutput(opt.status_json, lines)) {
       return 1;
     }
     if (!opt.quiet) {
@@ -812,7 +800,7 @@ int CmdServe(const Options& opt, const std::vector<uint8_t>& guest_image) {
     std::string full = controller.attestor().transcript();
     full += "--- fleetd ---\n";
     full += controller.transcript();
-    if (!WriteFile(opt.transcript, full)) {
+    if (!WriteOutput(opt.transcript, full)) {
       return 1;
     }
     if (!opt.quiet) {

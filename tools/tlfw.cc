@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/file_io.h"
 #include "src/common/rng.h"
 #include "src/fleet/provision.h"
 #include "src/update/fw_container.h"
@@ -216,7 +217,7 @@ int CmdPack(const Options& opts) {
   spec.name = opts.name;
   spec.chunk_bytes = opts.chunk_bytes;
   if (!opts.payload_file.empty()) {
-    Result<std::vector<uint8_t>> payload = ReadFirmwareFile(opts.payload_file);
+    Result<std::vector<uint8_t>> payload = ReadFileBytes(opts.payload_file);
     if (!payload.ok()) {
       return Fail(payload.status());
     }
@@ -232,7 +233,8 @@ int CmdPack(const Options& opts) {
   if (!container.ok()) {
     return Fail(container.status());
   }
-  Status written = WriteFirmwareFile(opts.positional[0], *container);
+  Status written = WriteFileBytes(opts.positional[0], container->data(),
+                                  container->size());
   if (!written.ok()) {
     return Fail(written);
   }
@@ -246,7 +248,7 @@ int CmdInfo(const Options& opts) {
   if (opts.positional.size() != 1) {
     return Usage();
   }
-  Result<std::vector<uint8_t>> bytes = ReadFirmwareFile(opts.positional[0]);
+  Result<std::vector<uint8_t>> bytes = ReadFileBytes(opts.positional[0]);
   if (!bytes.ok()) {
     return Fail(bytes.status());
   }
@@ -268,7 +270,7 @@ int CmdVerify(const Options& opts) {
   if (opts.positional.size() != 1) {
     return Usage();
   }
-  Result<std::vector<uint8_t>> bytes = ReadFirmwareFile(opts.positional[0]);
+  Result<std::vector<uint8_t>> bytes = ReadFileBytes(opts.positional[0]);
   if (!bytes.ok()) {
     return Fail(bytes.status());
   }
@@ -296,7 +298,7 @@ int CmdSign(const Options& opts) {
   if (opts.positional.size() != 2 || !opts.key.present) {
     return Usage();
   }
-  Result<std::vector<uint8_t>> bytes = ReadFirmwareFile(opts.positional[0]);
+  Result<std::vector<uint8_t>> bytes = ReadFileBytes(opts.positional[0]);
   if (!bytes.ok()) {
     return Fail(bytes.status());
   }
@@ -305,7 +307,8 @@ int CmdSign(const Options& opts) {
   if (!signed_container.ok()) {
     return Fail(signed_container.status());
   }
-  Status written = WriteFirmwareFile(opts.positional[1], *signed_container);
+  Status written = WriteFileBytes(opts.positional[1], signed_container->data(),
+                                  signed_container->size());
   if (!written.ok()) {
     return Fail(written);
   }

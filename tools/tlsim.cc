@@ -17,8 +17,10 @@
 // (docs/SNAPSHOT_FORMAT.md) every N retired instructions to
 // PREFIX-NNNN.tlsnap; --resume-from restores one and continues executing,
 // bit-identically to the uninterrupted run (no file.s needed — the program
-// travels inside the snapshot). With --trace every retired instruction is disassembled
-// to stderr. --profile prints a per-lane cycle-accounting table (one lane
+// travels inside the snapshot). --trace streams an ExecutionTracer to stderr:
+// every retired instruction disassembled, plus exception/IRQ entries, UART
+// bytes and the halt. --stats prints the CPU, EA-MPU and bus fast-path
+// counters. --profile prints a per-lane cycle-accounting table (one lane
 // per assembled chunk) and --trace-json exports a Chrome trace-event file
 // viewable at https://ui.perfetto.dev (DESIGN.md §12).
 //
@@ -33,7 +35,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <set>
@@ -42,12 +43,14 @@
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/file_io.h"
 #include "src/isa/assembler.h"
 #include "src/isa/disassembler.h"
 #include "src/platform/observe/chrome_trace.h"
 #include "src/platform/observe/json.h"
 #include "src/platform/observe/profiler.h"
 #include "src/platform/platform.h"
+#include "src/platform/trace.h"
 #include "src/snapshot/snapshot.h"
 #include "tools/parse_number.h"
 
@@ -73,15 +76,12 @@ int Usage(bool help = false) {
   return help ? 0 : 2;
 }
 
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
+Result<AsmOutput> AssembleFile(const std::string& path, uint32_t origin) {
+  Result<std::vector<uint8_t>> source = ReadFileBytes(path);
+  if (!source.ok()) {
+    return source.status();
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
+  return Assemble(std::string(source->begin(), source->end()), origin);
 }
 
 // Numeric flag values go through the tools' shared parser: a typo or an
@@ -115,12 +115,7 @@ int CmdAsm(const std::vector<std::string>& args) {
   if (input.empty()) {
     return Usage();
   }
-  std::string source;
-  if (!ReadFile(input, &source)) {
-    std::fprintf(stderr, "tlsim: cannot read %s\n", input.c_str());
-    return 1;
-  }
-  Result<AsmOutput> out = Assemble(source, origin);
+  Result<AsmOutput> out = AssembleFile(input, origin);
   if (!out.ok()) {
     std::fprintf(stderr, "tlsim: %s\n", out.status().ToString().c_str());
     return 1;
@@ -135,11 +130,9 @@ int CmdAsm(const std::vector<std::string>& args) {
     }
   }
   if (!output.empty()) {
-    std::ofstream file(output, std::ios::binary);
-    file.write(reinterpret_cast<const char*>(image.data()),
-               static_cast<std::streamsize>(image.size()));
-    if (!file) {
-      std::fprintf(stderr, "tlsim: cannot write %s\n", output.c_str());
+    const Status written = WriteFileBytes(output, image.data(), image.size());
+    if (!written.ok()) {
+      std::fprintf(stderr, "tlsim: %s\n", written.ToString().c_str());
       return 1;
     }
     std::printf("wrote %s\n", output.c_str());
@@ -165,14 +158,13 @@ int CmdDisas(const std::vector<std::string>& args) {
   if (input.empty()) {
     return Usage();
   }
-  std::string blob;
-  if (!ReadFile(input, &blob)) {
-    std::fprintf(stderr, "tlsim: cannot read %s\n", input.c_str());
+  Result<std::vector<uint8_t>> blob = ReadFileBytes(input);
+  if (!blob.ok()) {
+    std::fprintf(stderr, "tlsim: %s\n", blob.status().ToString().c_str());
     return 1;
   }
-  for (size_t offset = 0; offset + 4 <= blob.size(); offset += 4) {
-    const uint32_t word =
-        LoadLe32(reinterpret_cast<const uint8_t*>(blob.data()) + offset);
+  for (size_t offset = 0; offset + 4 <= blob->size(); offset += 4) {
+    const uint32_t word = LoadLe32(blob->data() + offset);
     const uint32_t addr = base + static_cast<uint32_t>(offset);
     std::printf("%08x:  %08x  %s\n", addr, word,
                 DisassembleWord(word, addr).c_str());
@@ -244,12 +236,7 @@ int CmdRun(const std::vector<std::string>& args) {
   // snapshot (--resume-from; a file.s argument is then ignored).
   Result<AsmOutput> out(Status::Ok());
   if (resume_from.empty()) {
-    std::string source;
-    if (!ReadFile(input, &source)) {
-      std::fprintf(stderr, "tlsim: cannot read %s\n", input.c_str());
-      return 1;
-    }
-    out = Assemble(source, 0x0003'0000);
+    out = AssembleFile(input, 0x0003'0000);
     if (!out.ok()) {
       std::fprintf(stderr, "tlsim: %s\n", out.status().ToString().c_str());
       return 1;
@@ -260,7 +247,7 @@ int CmdRun(const std::vector<std::string>& args) {
   config.with_mpu = !no_mpu;
   std::vector<uint8_t> resume_bytes;
   if (!resume_from.empty()) {
-    Result<std::vector<uint8_t>> bytes = ReadSnapshotFile(resume_from);
+    Result<std::vector<uint8_t>> bytes = ReadFileBytes(resume_from);
     if (!bytes.ok()) {
       std::fprintf(stderr, "tlsim: %s\n", bytes.status().ToString().c_str());
       return 1;
@@ -317,10 +304,11 @@ int CmdRun(const std::vector<std::string>& args) {
     platform.uart().PushInput(uart_in);
   }
 
+  // --trace streams every event line to stderr; nothing is retained.
+  ExecutionTracer tracer(/*capacity=*/0, /*record_instructions=*/true);
   if (trace) {
-    platform.cpu().SetTraceHook([](uint32_t ip, const Instruction& insn) {
-      std::fprintf(stderr, "%08x:  %s\n", ip, Disassemble(insn, ip).c_str());
-    });
+    tracer.SetEcho(stderr);
+    tracer.Attach(&platform);
   }
 
   // Observability sinks (DESIGN.md §12): one lane per assembled chunk so a
@@ -365,8 +353,9 @@ int CmdRun(const std::vector<std::string>& args) {
                     snapshot_out.c_str(), ++sequence);
       Result<std::vector<uint8_t>> snapshot = SavePlatform(platform);
       Status written =
-          snapshot.ok() ? WriteSnapshotFile(path, *snapshot)
-                        : snapshot.status();
+          snapshot.ok()
+              ? WriteFileBytes(path, snapshot->data(), snapshot->size())
+              : snapshot.status();
       if (!written.ok()) {
         std::fprintf(stderr, "tlsim: %s\n", written.ToString().c_str());
         return 1;
@@ -400,7 +389,8 @@ int CmdRun(const std::vector<std::string>& args) {
   }
   std::printf("  ip=%08x flags=%08x\n", cpu.ip(), cpu.flags());
   if (stats) {
-    const FastPathStats fp = platform.fast_path_stats();
+    const CpuStats& cs = cpu.stats();
+    const BusStats& bs = platform.bus().stats();
     auto print_cache = [](const char* name, uint64_t hits, uint64_t misses) {
       const uint64_t total = hits + misses;
       std::printf("  %-12s hits %-12llu misses %-12llu hit-rate %5.1f%%\n",
@@ -410,47 +400,46 @@ int CmdRun(const std::vector<std::string>& args) {
                                          static_cast<double>(total));
     };
     std::printf("--- fast-path stats ---\n");
-    print_cache("bus-route", fp.bus.route_hits, fp.bus.route_misses);
-    print_cache("decode", fp.decode_hits, fp.decode_misses);
-    print_cache("data-window", fp.data_window_hits, fp.data_window_misses);
+    print_cache("bus-route", bs.route_hits, bs.route_misses);
+    print_cache("decode", cs.decode_hits, cs.decode_misses);
+    print_cache("data-window", cs.data_window_hits, cs.data_window_misses);
     // Fusion "hit rate" = share of all retired instructions that retired
     // from inside a fused group (DESIGN.md §15).
-    const uint64_t retired_total = cpu.stats().instructions;
     std::printf(
         "  %-12s groups %-11llu retired %-11llu fused-rate %5.1f%%\n",
-        "fusion", static_cast<unsigned long long>(fp.fusion_groups),
-        static_cast<unsigned long long>(fp.fusion_retired),
-        retired_total == 0 ? 0.0
-                           : 100.0 * static_cast<double>(fp.fusion_retired) /
-                                 static_cast<double>(retired_total));
+        "fusion", static_cast<unsigned long long>(cs.fusion_groups),
+        static_cast<unsigned long long>(cs.fusion_retired),
+        cs.instructions == 0
+            ? 0.0
+            : 100.0 * static_cast<double>(cs.fusion_retired) /
+                  static_cast<double>(cs.instructions));
     std::printf("  %-12s builds %-11llu invalidations %llu\n", "fusion-cache",
-                static_cast<unsigned long long>(fp.fusion_builds),
-                static_cast<unsigned long long>(fp.fusion_invalidations));
-    if (!no_mpu) {
-      print_cache("mpu-subject", fp.mpu.subject_hits, fp.mpu.subject_misses);
-      print_cache("mpu-decision", fp.mpu.decision_hits, fp.mpu.decision_misses);
-      print_cache("mpu-fetch", fp.mpu.fetch_hits, fp.mpu.fetch_misses);
+                static_cast<unsigned long long>(cs.fusion_builds),
+                static_cast<unsigned long long>(cs.fusion_invalidations));
+    if (const EaMpu* mpu = platform.mpu()) {
+      const MpuStats& ms = mpu->stats();
+      print_cache("mpu-subject", ms.subject_hits, ms.subject_misses);
+      print_cache("mpu-decision", ms.decision_hits, ms.decision_misses);
+      print_cache("mpu-fetch", ms.fetch_hits, ms.fetch_misses);
       std::printf("  mpu checks %llu   faults %llu   mmio writes %llu\n",
-                  static_cast<unsigned long long>(fp.mpu.checks),
-                  static_cast<unsigned long long>(fp.mpu.faults),
-                  static_cast<unsigned long long>(fp.mpu.mmio_writes));
+                  static_cast<unsigned long long>(ms.checks),
+                  static_cast<unsigned long long>(ms.faults),
+                  static_cast<unsigned long long>(ms.mmio_writes));
     }
   }
   if (profile) {
-    const FastPathStats fp = platform.fast_path_stats();
-    profiler.SetFastPathCounters(fp.decode_hits, fp.decode_misses,
-                                 fp.fusion_groups, fp.fusion_retired,
-                                 cpu.stats().instructions);
     std::printf("--- profile ---\n%s", profiler.ToString().c_str());
     platform.RemoveEventSink(&profiler);
   }
   if (!trace_json.empty()) {
-    if (!trace_writer.WriteFile(trace_json)) {
-      std::fprintf(stderr, "tlsim: cannot write %s\n", trace_json.c_str());
+    const std::string json = trace_writer.Json();
+    const Status written = WriteFileBytes(trace_json, json.data(), json.size());
+    if (!written.ok()) {
+      std::fprintf(stderr, "tlsim: %s\n", written.ToString().c_str());
       return 1;
     }
     std::string json_error;
-    const bool valid = JsonParses(trace_writer.Json(), &json_error);
+    const bool valid = JsonParses(json, &json_error);
     std::printf("trace-json: wrote %s (%zu events%s, %s)\n", trace_json.c_str(),
                 trace_writer.event_count(),
                 trace_writer.dropped() == 0
@@ -524,12 +513,7 @@ int CmdDebug(const std::vector<std::string>& args) {
   if (input.empty()) {
     return Usage();
   }
-  std::string source;
-  if (!ReadFile(input, &source)) {
-    std::fprintf(stderr, "tlsim: cannot read %s\n", input.c_str());
-    return 1;
-  }
-  Result<AsmOutput> out = Assemble(source, 0x0003'0000);
+  Result<AsmOutput> out = AssembleFile(input, 0x0003'0000);
   if (!out.ok()) {
     std::fprintf(stderr, "tlsim: %s\n", out.status().ToString().c_str());
     return 1;

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/file_io.h"
 #include "src/snapshot/snapshot.h"
 
 namespace trustlite {
@@ -40,7 +41,7 @@ int Fail(const Status& status) {
 }
 
 int CmdInfo(const std::string& path) {
-  Result<std::vector<uint8_t>> bytes = ReadSnapshotFile(path);
+  Result<std::vector<uint8_t>> bytes = ReadFileBytes(path);
   if (!bytes.ok()) {
     return Fail(bytes.status());
   }
@@ -60,7 +61,7 @@ int CmdInfo(const std::string& path) {
 }
 
 int CmdVerify(const std::string& path) {
-  Result<std::vector<uint8_t>> bytes = ReadSnapshotFile(path);
+  Result<std::vector<uint8_t>> bytes = ReadFileBytes(path);
   if (!bytes.ok()) {
     return Fail(bytes.status());
   }
@@ -83,11 +84,11 @@ int CmdVerify(const std::string& path) {
 }
 
 int CmdDiff(const std::string& path_a, const std::string& path_b) {
-  Result<std::vector<uint8_t>> a = ReadSnapshotFile(path_a);
+  Result<std::vector<uint8_t>> a = ReadFileBytes(path_a);
   if (!a.ok()) {
     return Fail(a.status());
   }
-  Result<std::vector<uint8_t>> b = ReadSnapshotFile(path_b);
+  Result<std::vector<uint8_t>> b = ReadFileBytes(path_b);
   if (!b.ok()) {
     return Fail(b.status());
   }
@@ -106,7 +107,7 @@ int CmdDiff(const std::string& path_a, const std::string& path_b) {
 }
 
 int CmdResave(const std::string& in_path, const std::string& out_path) {
-  Result<std::vector<uint8_t>> bytes = ReadSnapshotFile(in_path);
+  Result<std::vector<uint8_t>> bytes = ReadFileBytes(in_path);
   if (!bytes.ok()) {
     return Fail(bytes.status());
   }
@@ -123,7 +124,7 @@ int CmdResave(const std::string& in_path, const std::string& out_path) {
   if (!saved.ok()) {
     return Fail(saved.status());
   }
-  Status written = WriteSnapshotFile(out_path, *saved);
+  Status written = WriteFileBytes(out_path, saved->data(), saved->size());
   if (!written.ok()) {
     return Fail(written);
   }
